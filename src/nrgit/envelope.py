@@ -19,7 +19,6 @@ multiplicity which are checked at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .binary_forms import (
     Divisor,
@@ -29,14 +28,13 @@ from .binary_forms import (
     _status,
     classify_borel,
 )
+from .hilbert_mumford import _LOCATION_TO_STATUS
 from .polytope import (
-    N,
     AffineN,
-    OriginLocation,
     Weight2,
     WeightSet,
+    _eventual_sign,
     contains_origin,
-    scaled_minkowski,
     weight2,
 )
 
@@ -122,6 +120,16 @@ def embed_divisor(d: Divisor) -> EnvPoint:
     return EnvPoint({0, 1}, d, d.mult_inf)
 
 
+def _fixed_weight(j: int, i: int, params: EnvParams) -> Weight2:
+    # weight of ([e_j], [x^(n-i) y^i]): (N*e_j.x + m(2i - n), N*e_j.y + r),
+    # built directly since e_j is constant
+    e = E_WEIGHTS[j]
+    return Weight2(
+        AffineN(e.x.const, params.lin.m * (2 * i - params.n)),
+        AffineN(e.y.const, params.lin.r),
+    )
+
+
 def fixed_point_weights(params: EnvParams) -> list[tuple[str, int, Weight2]]:
     """Weights of the 3(n+1) torus-fixed points ([e_j], [x^(n-i) y^i]).
 
@@ -129,33 +137,29 @@ def fixed_point_weights(params: EnvParams) -> list[tuple[str, int, Weight2]]:
     v = [0:1:0] row (N + m(2i-n), -N + r), the v = [0:0:1] row
     (-N + m(2i-n), -N + r).
     """
-    n, m, r = params.n, params.lin.m, params.lin.r
-    rows = []
-    for j in (0, 1, 2):
-        e = E_WEIGHTS[j]
-        for i in range(n + 1):
-            w = Weight2(N * e.x + m * (2 * i - n), N * e.y + AffineN.of(r))
-            rows.append((_V_LABELS[j], i, w))
-    return rows
+    return [
+        (_V_LABELS[j], i, _fixed_weight(j, i, params))
+        for j in (0, 1, 2)
+        for i in range(params.n + 1)
+    ]
 
 
 def point_polytope(p: EnvPoint, params: EnvParams) -> WeightSet:
-    """Weight multiset of p: N*(v-support weights) + m*(monomial row) + (0, r).
+    """Weights of p with the same hull as N*(v-support weights) +
+    m*(monomial row) + (0, r).
 
     The monomial support of the configuration runs over i in
-    [mult_inf, n - mult_zero]; interior gaps cannot change the hull, so the
-    full interval is emitted.
+    [mult_inf, n - mult_zero].  Only the two endpoints of that interval are
+    emitted: the monomials between them lie on the segment joining the
+    endpoint weights, so the hull is unchanged.  At most six weights result.
     """
-    n, m, r = params.n, params.lin.m, params.lin.r
     d = p.divisor
-    if d.n != n:
-        raise ValueError(f"divisor degree {d.n} does not match params degree {n}")
-    a_part = WeightSet(E_WEIGHTS[j] for j in sorted(p.v_support))
-    b_part = WeightSet(
-        weight2(2 * i - n, 0) for i in range(d.mult_inf, n - d.mult_zero + 1)
-    )
-    return scaled_minkowski(
-        [(N, a_part), (Fraction(m), b_part)], weight2(0, r)
+    if d.n != params.n:
+        raise ValueError(f"divisor degree {d.n} does not match params degree {params.n}")
+    return WeightSet(
+        _fixed_weight(j, i, params)
+        for j in sorted(p.v_support)
+        for i in sorted({d.mult_inf, params.n - d.mult_zero})
     )
 
 
@@ -228,16 +232,17 @@ def unipotent_case_status(p: EnvPoint, n: int) -> Status:
 
     The relevant weights are N*alpha + (2i - n) with alpha in {0, +1, -1}
     selected by the v-support and i in the monomial interval; the status is
-    read off the endpoints of that interval of AffineN values.
+    read off the signs of the two endpoints of that interval, in integers:
+    for all large N the sign of N*alpha + c is that of alpha when alpha != 0,
+    else that of c.
     """
     d = p.divisor
     if d.n != n:
         raise ValueError(f"divisor degree {d.n} does not match degree {n}")
     alphas = sorted({0: 0, 1: 1, 2: -1}[j] for j in p.v_support)
-    lo = N * alphas[0] + (2 * d.mult_inf - n)
-    hi = N * alphas[-1] + (n - 2 * d.mult_zero)
-    zero = AffineN.of(0)
-    return _status(lo < zero < hi, lo <= zero <= hi)
+    lo = _eventual_sign(0, alphas[0], 2 * d.mult_inf - n)
+    hi = _eventual_sign(0, alphas[-1], n - 2 * d.mult_zero)
+    return _status(lo < 0 < hi, lo <= 0 <= hi)
 
 
 def unipotent_status(p: EnvPoint, n: int) -> Status:
@@ -349,12 +354,7 @@ def concrete_torus_case_status(p: EnvPoint, params: EnvParams, n_value) -> Statu
         weight2(w.x.eval_at(n_value), w.y.eval_at(n_value))
         for w in point_polytope(p, params)
     ]
-    loc = contains_origin(WeightSet(pts))
-    return {
-        OriginLocation.OUTSIDE: Status.UNSTABLE,
-        OriginLocation.BOUNDARY: Status.STRICTLY_SEMISTABLE,
-        OriginLocation.INTERIOR: Status.STABLE,
-    }[loc]
+    return _LOCATION_TO_STATUS[contains_origin(WeightSet(pts))]
 
 
 def n_threshold(n: int, lin: LinParam, max_n0: int = 1 << 20) -> int:

@@ -7,11 +7,18 @@ arbitrarily large?  AffineN realizes that scalar domain with the lexicographic
 order on (a, b), which agrees with evaluation at every concrete N above a
 finite threshold.  All predicates are decided exactly over this ordered
 domain; no floating point is used anywhere.
+
+contains_origin scales its points once by the LCM of their denominators (a
+positive dilation leaves the origin's location unchanged) and then works on
+plain integers: every orientation is an integer quadratic in N whose eventual
+sign is that of its leading nonzero coefficient.  It builds the monotone-chain
+hull and reads the verdict off the signs of its edges in one pass.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
@@ -230,96 +237,59 @@ class OriginLocation(Enum):
     INTERIOR = "Interior"
 
 
-def _cross_sign(p: Weight2, q: Weight2) -> int:
-    # sign of p.x*q.y - p.y*q.x for all large N
-    return _Quad.mul(p.x, q.y).sub(_Quad.mul(p.y, q.x)).sign()
+def _eventual_sign(c2: int, c1: int, c0: int) -> int:
+    # sign of c2*N^2 + c1*N + c0 for all large N: the leading nonzero
+    # coefficient decides
+    c = c2 or c1 or c0
+    return (c > 0) - (c < 0)
 
 
-def _dot_sign(p: Weight2, q: Weight2) -> int:
-    return _Quad.mul(p.x, q.x).add(_Quad.mul(p.y, q.y)).sign()
+def _turn(o: tuple, p: tuple, q: tuple) -> int:
+    # eventual sign of cross(p - o, q - o) for integer weights (a_x, b_x,
+    # a_y, b_y), where a coordinate is a*N + b; positive for a left turn
+    ux1, ux0, uy1, uy0 = p[0] - o[0], p[1] - o[1], p[2] - o[2], p[3] - o[3]
+    vx1, vx0, vy1, vy0 = q[0] - o[0], q[1] - o[1], q[2] - o[2], q[3] - o[3]
+    return _eventual_sign(
+        ux1 * vy1 - uy1 * vx1,
+        ux1 * vy0 + ux0 * vy1 - uy1 * vx0 - uy0 * vx1,
+        ux0 * vy0 - uy0 * vx0,
+    )
 
 
-def _sub(p: Weight2, q: Weight2) -> Weight2:
-    return Weight2(p.x - q.x, p.y - q.y)
+_ORIGIN = (0, 0, 0, 0)
 
 
-def _is_origin(p: Weight2) -> bool:
-    return p.x.is_zero() and p.y.is_zero()
+def _integer_weights(points: tuple[Weight2, ...]) -> list[tuple[int, int, int, int]]:
+    # Scale by the LCM of every denominator: a positive dilation never moves
+    # the origin across the hull boundary.
+    coeffs = [
+        (p.x.n_coeff, p.x.const, p.y.n_coeff, p.y.const) for p in points
+    ]
+    scale = math.lcm(*(c.denominator for row in coeffs for c in row))
+    return [
+        tuple(c.numerator * (scale // c.denominator) for c in row)
+        for row in coeffs
+    ]
 
 
-def _hull_vertices(pts: tuple[Weight2, ...]) -> tuple[Weight2, ...]:
-    # Monotone-chain extreme-point filter (exact signs, collinear points
-    # dropped).  conv(vertices) = conv(pts), so membership and interiority
-    # are unchanged while the Caratheodory scans below stay small.
+def _hull(pts: list[tuple]) -> list[tuple]:
+    # Andrew's monotone chain over distinct points sorted by (x, y) in the
+    # large-N order, which is the lexicographic order of the integer tuples.
+    # Collinear points are dropped, so three or more vertices form a strictly
+    # convex counter-clockwise polygon; otherwise the hull is a point or a
+    # segment.
     if len(pts) <= 2:
         return pts
-    pts = sorted(pts, key=lambda p: (p.x._key(), p.y._key()))
 
     def chain(points):
         out = []
         for p in points:
-            while len(out) >= 2 and _cross_sign(_sub(out[-1], out[-2]), _sub(p, out[-2])) <= 0:
+            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(list(reversed(pts)))
-    return tuple(lower[:-1] + upper[:-1]) or (pts[0],)
-
-
-def _origin_in_hull(pts: tuple[Weight2, ...]) -> bool:
-    # Caratheodory in the plane: 0 lies in the hull iff it is a point of S,
-    # lies on a segment between two points, or lies in a nondegenerate
-    # triangle.  Degenerate (collinear) triples are covered by the segment
-    # case and must be skipped: the sign test below would accept collinear
-    # triples that merely straddle the origin's line.
-    if any(_is_origin(p) for p in pts):
-        return True
-    for p, q in itertools.combinations(pts, 2):
-        if _cross_sign(p, q) == 0 and _dot_sign(p, q) <= 0:
-            return True
-    for p, q, r in itertools.combinations(pts, 3):
-        orient = _cross_sign(_sub(q, p), _sub(r, p))
-        if orient == 0:
-            continue
-        neg_p = Weight2(-p.x, -p.y)
-        neg_q = Weight2(-q.x, -q.y)
-        neg_r = Weight2(-r.x, -r.y)
-        b1 = _cross_sign(_sub(q, p), neg_p)
-        b2 = _cross_sign(_sub(r, q), neg_q)
-        b3 = _cross_sign(_sub(p, r), neg_r)
-        if all(b >= 0 for b in (b1, b2, b3)) or all(b <= 0 for b in (b1, b2, b3)):
-            return True
-    return False
-
-
-def _perp(p: Weight2) -> Weight2:
-    return Weight2(-p.y, p.x)
-
-
-def _candidate_normals(pts: tuple[Weight2, ...]) -> list[Weight2]:
-    # Every supporting line of the hull at the origin is parallel to a hull
-    # edge or passes through a vertex, so its normal is proportional to the
-    # perpendicular of a point or of a difference of two points.  The axis
-    # directions keep the degenerate all-zero case honest.
-    cands = [weight2(1, 0), weight2(0, 1)]
-    for p in pts:
-        if not _is_origin(p):
-            cands.append(_perp(p))
-    for p, q in itertools.combinations(pts, 2):
-        cands.append(_perp(_sub(p, q)))
-    return cands
-
-
-def _origin_interior(pts: tuple[Weight2, ...]) -> bool:
-    # 0 is interior iff no line through 0 has all of S weakly on one side;
-    # only the finitely many candidate normals can support such a line.
-    for d in _candidate_normals(pts):
-        signs = {_dot_sign(p, d) for p in pts}
-        if 1 not in signs or -1 not in signs:
-            return False
-    return True
+    return chain(pts)[:-1] + chain(reversed(pts))[:-1]
 
 
 def contains_origin(S: WeightSet) -> OriginLocation:
@@ -327,16 +297,35 @@ def contains_origin(S: WeightSet) -> OriginLocation:
 
     INTERIOR means the topological interior inside the ambient plane, so
     lower-dimensional hulls (segments, points) are at best BOUNDARY.
+
+    The weights are scaled to integers, their counter-clockwise hull is built
+    once, and one pass over its edges decides: the origin is outside if it
+    lies strictly right of some edge, on the boundary if it lies on some
+    edge's line, and interior otherwise.
     """
-    pts = S.distinct()
-    if not pts:
+    if not S.points:
         raise ValueError("contains_origin: empty weight set")
-    pts = _hull_vertices(pts)
-    if not _origin_in_hull(pts):
+    hull = _hull(sorted(set(_integer_weights(S.points))))
+    if len(hull) == 1:
+        if hull[0] == _ORIGIN:
+            return OriginLocation.BOUNDARY
         return OriginLocation.OUTSIDE
-    if _origin_interior(pts):
-        return OriginLocation.INTERIOR
-    return OriginLocation.BOUNDARY
+    if len(hull) == 2:
+        (ax1, ax0, ay1, ay0), (bx1, bx0, by1, by0) = hull
+        dot = _eventual_sign(
+            ax1 * bx1 + ay1 * by1,
+            ax1 * bx0 + ax0 * bx1 + ay1 * by0 + ay0 * by1,
+            ax0 * bx0 + ay0 * by0,
+        )
+        if _turn(_ORIGIN, *hull) == 0 and dot <= 0:
+            return OriginLocation.BOUNDARY
+        return OriginLocation.OUTSIDE
+    signs = {_turn(_ORIGIN, a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
+    if -1 in signs:
+        return OriginLocation.OUTSIDE
+    if 0 in signs:
+        return OriginLocation.BOUNDARY
+    return OriginLocation.INTERIOR
 
 
 def scaled_minkowski(
