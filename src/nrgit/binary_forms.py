@@ -15,43 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from fractions import Fraction
 
-
-class Status(IntEnum):
-    """Stability class, ordered worst to best so worst-case = min."""
-
-    UNSTABLE = 0
-    STRICTLY_SEMISTABLE = 1
-    STABLE = 2
-
-    @property
-    def semistable(self) -> bool:
-        return self >= Status.STRICTLY_SEMISTABLE
-
-    @property
-    def stable(self) -> bool:
-        return self is Status.STABLE
-
-    @property
-    def label(self) -> str:
-        return {
-            Status.UNSTABLE: "Unstable",
-            Status.STRICTLY_SEMISTABLE: "StrictlySemistable",
-            Status.STABLE: "Stable",
-        }[self]
-
-    def __str__(self):
-        return self.label
-
-
-def _status(stable: bool, semistable: bool) -> Status:
-    if stable:
-        return Status.STABLE
-    if semistable:
-        return Status.STRICTLY_SEMISTABLE
-    return Status.UNSTABLE
+from .hilbert_mumford import Status, _status
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,10 +122,10 @@ def classify_unipotent(d: Divisor) -> Status:
 
     The stable set is where fewer than n/2 points coincide and the finitely
     generated semistable set is where at most n/2 coincide; the returned
-    Status encodes that pair via .stable and .semistable.
+    Status encodes that pair via .stable and .semistable.  These are the
+    SL(2) thresholds, so the verdict is classify_sl2's.
     """
-    top = 2 * d.max_mult()
-    return _status(top < d.n, top <= d.n)
+    return classify_sl2(d)
 
 
 ZERO_SLOT = "zero"
@@ -227,12 +194,10 @@ def sequiv_witness(d: Divisor, lin: LinParam) -> list[MoveStep]:
     one is ((n-tau)/2, (n+tau)/2, []).
     """
     tau = lin.tau
-    if not (0 < tau < d.n and Fraction(d.n - tau, 2).denominator == 1):
-        raise ValueError(f"tau={tau} is not an interior wall for n={d.n}")
+    central = central_divisor(d.n, tau)
     if classify_borel(d, lin) is not Status.STRICTLY_SEMISTABLE:
         raise ValueError(f"{d} is not strictly semistable at tau={tau}")
-    s = int(Fraction(d.n - tau, 2))
-    central = central_divisor(d.n, tau)
+    s = central.mult_inf
     if d == central:
         return []
     steps: list[MoveStep] = []

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from .binary_forms import (
     Divisor,
     LinParam,
-    Status,
     _all_profiles,
-    _status,
     classify_borel,
+    classify_unipotent,
 )
-from .hilbert_mumford import _LOCATION_TO_STATUS
+from .hilbert_mumford import _LOCATION_TO_STATUS, Status, _status
 from .polytope import (
     AffineN,
     Weight2,
@@ -256,8 +255,7 @@ def unipotent_status(p: EnvPoint, n: int) -> Status:
         raise ValueError(f"divisor degree {p.divisor.n} does not match degree {n}")
     if 0 not in p.v_support:
         return Status.UNSTABLE
-    top = 2 * p.divisor.max_mult()
-    return _status(top < n, top <= n)
+    return classify_unipotent(p.divisor)
 
 
 def enumerate_env_points(n: int) -> list[EnvPoint]:

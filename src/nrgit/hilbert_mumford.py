@@ -14,6 +14,10 @@ lines whose slope grows with N (e.g. {(N, 0), (-N, 1)} is separated only by
 directions like -(1, 2N)), so OnePS stores a pair of AffineN values.  For
 all-rational weight sets every witness direction reduces to a primitive
 integer pair.
+
+Status, the three-valued verdict every classifier in the package returns,
+is defined here because this engine gives it its meaning: the origin
+outside, on the boundary of, or interior to the weight polytope.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from enum import IntEnum
 from fractions import Fraction
 
-from .binary_forms import Status, _status
 from .polytope import (
     AffineN,
     DegreeOverflowError,
@@ -34,6 +38,41 @@ from .polytope import (
     contains_origin,
     weight2,
 )
+
+
+class Status(IntEnum):
+    """Stability class, ordered worst to best so worst-case = min."""
+
+    UNSTABLE = 0
+    STRICTLY_SEMISTABLE = 1
+    STABLE = 2
+
+    @property
+    def semistable(self) -> bool:
+        return self >= Status.STRICTLY_SEMISTABLE
+
+    @property
+    def stable(self) -> bool:
+        return self is Status.STABLE
+
+    @property
+    def label(self) -> str:
+        return {
+            Status.UNSTABLE: "Unstable",
+            Status.STRICTLY_SEMISTABLE: "StrictlySemistable",
+            Status.STABLE: "Stable",
+        }[self]
+
+    def __str__(self):
+        return self.label
+
+
+def _status(stable: bool, semistable: bool) -> Status:
+    if stable:
+        return Status.STABLE
+    if semistable:
+        return Status.STRICTLY_SEMISTABLE
+    return Status.UNSTABLE
 
 
 @dataclass(frozen=True, slots=True)

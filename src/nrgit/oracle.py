@@ -31,9 +31,7 @@ from enum import Enum
 from .binary_forms import (
     Divisor,
     LinParam,
-    Status,
     _all_profiles,
-    _status,
     classify_borel,
     classify_sl2,
     classify_unipotent,
@@ -49,7 +47,7 @@ from .envelope import (
     unipotent_case_status,
     unipotent_status,
 )
-from .hilbert_mumford import PointSupport, TorusAction, torus_status
+from .hilbert_mumford import PointSupport, Status, TorusAction, _status, torus_status
 
 DEFAULT_MAX_CENSUS_N = 12
 

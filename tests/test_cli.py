@@ -116,6 +116,12 @@ class TestWalls:
         assert vals == ["0", "1", "3"]
 
 
+class TestWallsClosedForm:
+    def test_degree_forty_answers(self, capsys):
+        doc = run_json(capsys, "walls", "--n", "40")
+        assert len(doc["result"]["walls"]) == 41
+
+
 class TestFlips:
     def test_degree_six_wall_two(self, capsys):
         doc = run_json(capsys, "flips", "--n", "6", "--tau", "2")

@@ -1,5 +1,7 @@
 """Torus stability: weight polytopes, mu pairings, witness directions."""
 
+import ast
+import inspect
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nrgit
 from nrgit import (
     AffineN,
     EnvParams,
@@ -170,3 +173,23 @@ def test_enlarging_support_moves_toward_interior(pts, data):
     small = data.draw(st.permutations(range(len(pts))))[:size]
     big = set(small) | {data.draw(st.integers(min_value=0, max_value=len(pts) - 1))}
     assert torus_status(act, PointSupport(big)) >= torus_status(act, PointSupport(small))
+
+
+class TestLayering:
+    UPPER = {"binary_forms", "envelope", "oracle", "vgit", "cli"}
+
+    def test_one_status_class(self):
+        assert nrgit.Status is nrgit.binary_forms.Status is nrgit.hilbert_mumford.Status
+
+    @pytest.mark.parametrize("module", [nrgit.polytope, nrgit.hilbert_mumford])
+    def test_torus_engine_imports_no_upper_module(self, module):
+        tree = ast.parse(inspect.getsource(module))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[-1])
+            elif isinstance(node, ast.ImportFrom):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+        assert not imported & self.UPPER

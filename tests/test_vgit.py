@@ -10,8 +10,10 @@ from nrgit import (
     QuotientKind,
     Status,
     WallKind,
+    QuotientProfile,
     chamber_profile,
     classify_borel,
+    classify_sl2,
     enumerate_profiles,
     flip_data,
     slice_weights,
@@ -152,6 +154,62 @@ class TestChamberProfile:
                     assert prof.dimension == n - 2
                 elif prof.quotient_kind is QuotientKind.STABLE_UNION_POINT:
                     assert prof.dimension is None
+
+
+def census_profile(n, tau):
+    """chamber_profile decided from the whole profile census, by the decision
+    tree the closed forms replace."""
+    profiles = enumerate_profiles(n)
+    statuses = [classify_borel(d, lin_for(tau)) for d in profiles]
+    any_stable = any(st.stable for st in statuses)
+    if not any(st.semistable for st in statuses):
+        return QuotientProfile(True, QuotientKind.EMPTY, None)
+    if tau == 0:
+        strict = any(classify_sl2(d) is Status.STRICTLY_SEMISTABLE for d in profiles)
+        return QuotientProfile(
+            not strict,
+            QuotientKind.CLASSICAL_SL2_QUOTIENT,
+            n - 3 if n >= 3 else None,
+            "the semistable part fibers over the classical quotient; the "
+            "fibration is a geometric quotient for the unipotent subgroup",
+        )
+    if tau == n:
+        return QuotientProfile(
+            False,
+            QuotientKind.SINGLE_POINT,
+            0,
+            "every semistable configuration is S-equivalent to the one with "
+            "all mass at [0:1]",
+        )
+    if tau in wall_values(n):
+        return QuotientProfile(
+            False,
+            QuotientKind.STABLE_UNION_POINT,
+            n - 2 if any_stable else None,
+            "the stable quotient plus one extra point for the single "
+            "strictly semistable S-equivalence class",
+        )
+    if not any_stable:
+        return QuotientProfile(True, QuotientKind.EMPTY, None)
+    note = "all chamber quotients in degree 3 are isomorphic to P^1" if n == 3 else None
+    return QuotientProfile(True, QuotientKind.GEOMETRIC_PROJECTIVE, n - 2, note)
+
+
+class TestChamberProfileAgainstCensus:
+    def test_closed_forms_match_census_up_to_degree_ten(self):
+        for n in range(1, 11):
+            eps = Fraction(1, 7)
+            taus = {Fraction(k, 4) for k in range(4 * n + 1)}
+            for w in wall_values(n):
+                taus.update(t for t in (w - eps, w + eps) if 0 <= t <= n)
+            for tau in sorted(taus):
+                assert chamber_profile(n, tau) == census_profile(n, tau), (n, tau)
+
+    def test_degree_zero_rejected_as_degree(self):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            chamber_profile(0, 0)
+        with pytest.raises(ValueError, match="degree must be positive"):
+            flip_data(0, 1)
 
 
 class TestFlipData:
