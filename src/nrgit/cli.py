@@ -189,22 +189,17 @@ def cmd_walls(args) -> int:
     for seg in walls(args.n):
         if seg.kind is WallKind.CHAMBER:
             lo, hi = seg.value
-            mid = (lo + hi) / 2
-            segments.append(
-                {
-                    "kind": seg.kind.value,
-                    "interval": [str(lo), str(hi)],
-                    "profile": _profile_payload(chamber_profile(args.n, mid)),
-                }
-            )
+            key, shown, tau = "interval", [str(lo), str(hi)], (lo + hi) / 2
         else:
-            segments.append(
-                {
-                    "kind": seg.kind.value,
-                    "value": str(seg.value),
-                    "profile": _profile_payload(chamber_profile(args.n, seg.value)),
-                }
-            )
+            key, shown, tau = "value", str(seg.value), seg.value
+        # text output prints the keys in insertion order
+        segments.append(
+            {
+                "kind": seg.kind.value,
+                key: shown,
+                "profile": _profile_payload(chamber_profile(args.n, tau)),
+            }
+        )
     notes = [
         "walls sit at tau = 0, tau = n, and the interior slopes with "
         "n - tau even; classification is constant on each open chamber",
@@ -242,8 +237,10 @@ def cmd_flips(args) -> int:
 def cmd_census(args) -> int:
     lin = LinParam(args.m, args.r)
     guard = _census_guard()
-    envelope = strong_envelope_report(args.n, lin)
+    # diff_report refuses a degree outside the guard before any census
+    # work, so it runs ahead of the unguarded envelope report
     diffs = diff_report(args.n, lin, max_n=guard)
+    envelope = strong_envelope_report(args.n, lin)
     result = {
         "census_diff": [
             {

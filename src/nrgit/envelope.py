@@ -46,6 +46,10 @@ E_WEIGHTS = {
 
 _V_LABELS = {0: "[1:0:0]", 1: "[0:1:0]", 2: "[0:0:1]"}
 
+# the T1 weights as ints, so the per-placement unipotent test compares no
+# Fractions
+_T1_WEIGHTS = {j: int(e.x.const) for j, e in E_WEIGHTS.items()}
+
 
 @dataclass(frozen=True, slots=True)
 class EnvParams:
@@ -85,33 +89,33 @@ class EnvPoint:
         self._check_marked()
 
     def _check_marked(self):
-        sup, d, marked = self.v_support, self.divisor, self.marked_mult
-        special = sup & {1, 2}
-        if not special:
-            if marked is not None:
-                raise ValueError("inconsistent marked data: v1 = v2 = 0 admits no marked root")
-            return
-        if marked is None:
-            raise ValueError("inconsistent marked data: [v1:v2] != 0 requires marked_mult")
-        if special == {1}:
-            if marked != d.mult_inf:
-                raise ValueError(
-                    f"inconsistent marked data: [v1:v2] = [1:0] has multiplicity {d.mult_inf}, got {marked}"
-                )
-        elif special == {2}:
-            if marked != d.mult_zero:
-                raise ValueError(
-                    f"inconsistent marked data: [v1:v2] = [0:1] has multiplicity {d.mult_zero}, got {marked}"
-                )
-        else:
-            if marked != 0 and marked not in d.generic:
-                raise ValueError(
-                    f"inconsistent marked data: generic [v1:v2] must mark 0 or a generic root, got {marked}"
-                )
+        choices = _marked_choices(self.v_support, self.divisor)
+        if self.marked_mult not in choices:
+            raise ValueError(
+                f"inconsistent marked data: v-support {sorted(self.v_support)} "
+                f"admits marked_mult in {choices}, got {self.marked_mult}"
+            )
 
     def __str__(self):
         sup = "".join(str(j) for j in sorted(self.v_support))
         return f"(v:{sup}, d:{self.divisor}, marked:{self.marked_mult})"
+
+
+def _marked_choices(v_support: frozenset[int] | set[int], d: Divisor) -> list:
+    # legal marked_mult values for this v-support, in enumeration order
+    v1, v2 = 1 in v_support, 2 in v_support
+    if v1 and v2:
+        return sorted({0, *d.generic})
+    if v1:
+        return [d.mult_inf]
+    if v2:
+        return [d.mult_zero]
+    return [None]
+
+
+def _check_degree(d: Divisor, n: int) -> None:
+    if d.n != n:
+        raise ValueError(f"divisor degree {d.n} does not match degree {n}")
 
 
 def embed_divisor(d: Divisor) -> EnvPoint:
@@ -153,8 +157,7 @@ def point_polytope(p: EnvPoint, params: EnvParams) -> WeightSet:
     endpoint weights, so the hull is unchanged.  At most six weights result.
     """
     d = p.divisor
-    if d.n != params.n:
-        raise ValueError(f"divisor degree {d.n} does not match params degree {params.n}")
+    _check_degree(d, params.n)
     return WeightSet(
         _fixed_weight(j, i, params)
         for j in sorted(p.v_support)
@@ -173,8 +176,7 @@ def torus_case_status(p: EnvPoint, params: EnvParams) -> Status:
     """
     n, m, r = params.n, params.lin.m, params.lin.r
     d = p.divisor
-    if d.n != n:
-        raise ValueError(f"divisor degree {d.n} does not match params degree {n}")
+    _check_degree(d, n)
     if 0 not in p.v_support:
         # every weight sits at height r - N < 0
         return Status.UNSTABLE
@@ -209,8 +211,7 @@ def group_status(p: EnvPoint, params: EnvParams) -> Status:
     """
     n, m, r = params.n, params.lin.m, params.lin.r
     d = p.divisor
-    if d.n != n:
-        raise ValueError(f"divisor degree {d.n} does not match params degree {n}")
+    _check_degree(d, n)
     if r < 0 or r > n * m:
         return Status.UNSTABLE
     if 0 not in p.v_support:
@@ -229,16 +230,14 @@ def group_status(p: EnvPoint, params: EnvParams) -> Status:
 def unipotent_case_status(p: EnvPoint, n: int) -> Status:
     """1-D torus status of p for the untwisted SL(2)-only linearisation.
 
-    The relevant weights are N*alpha + (2i - n) with alpha in {0, +1, -1}
-    selected by the v-support and i in the monomial interval; the status is
-    read off the signs of the two endpoints of that interval, in integers:
-    for all large N the sign of N*alpha + c is that of alpha when alpha != 0,
-    else that of c.
+    The relevant weights are N*alpha + (2i - n) with alpha the T1 weight
+    (0, +1 or -1) of a coordinate in the v-support and i in
+    the monomial interval; the status is read off the eventual signs of the
+    two endpoints of that interval.
     """
     d = p.divisor
-    if d.n != n:
-        raise ValueError(f"divisor degree {d.n} does not match degree {n}")
-    alphas = sorted({0: 0, 1: 1, 2: -1}[j] for j in p.v_support)
+    _check_degree(d, n)
+    alphas = sorted(_T1_WEIGHTS[j] for j in p.v_support)
     lo = _eventual_sign(0, alphas[0], 2 * d.mult_inf - n)
     hi = _eventual_sign(0, alphas[-1], n - 2 * d.mult_zero)
     return _status(lo < 0 < hi, lo <= 0 <= hi)
@@ -251,8 +250,7 @@ def unipotent_status(p: EnvPoint, n: int) -> Status:
     multiplicity: stable below n/2, strictly semistable at n/2.  Restricted
     to embedded configurations this is exactly classify_unipotent.
     """
-    if p.divisor.n != n:
-        raise ValueError(f"divisor degree {p.divisor.n} does not match degree {n}")
+    _check_degree(p.divisor, n)
     if 0 not in p.v_support:
         return Status.UNSTABLE
     return classify_unipotent(p.divisor)
@@ -264,20 +262,12 @@ def enumerate_env_points(n: int) -> list[EnvPoint]:
         frozenset(s)
         for s in ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2})
     ]
-    out = []
-    for d in _all_profiles(n):
-        for sup in subsets:
-            special = sup & {1, 2}
-            if not special:
-                out.append(EnvPoint(sup, d))
-            elif special == {1}:
-                out.append(EnvPoint(sup, d, d.mult_inf))
-            elif special == {2}:
-                out.append(EnvPoint(sup, d, d.mult_zero))
-            else:
-                for marked in sorted({0, *d.generic}):
-                    out.append(EnvPoint(sup, d, marked))
-    return out
+    return [
+        EnvPoint(sup, d, marked)
+        for d in _all_profiles(n)
+        for sup in subsets
+        for marked in _marked_choices(sup, d)
+    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,7 +345,10 @@ def concrete_torus_case_status(p: EnvPoint, params: EnvParams, n_value) -> Statu
     return _LOCATION_TO_STATUS[contains_origin(WeightSet(pts))]
 
 
-def n_threshold(n: int, lin: LinParam, max_n0: int = 1 << 20) -> int:
+_MAX_N0 = 1 << 20
+
+
+def n_threshold(n: int, lin: LinParam) -> int:
     """Least N0 in a doubling scan 1, 2, 4, ... such that evaluating the
     twist at every integer N in [N0, 4*N0] reproduces the symbolic status for
     every degree-n point of the completion.  Exhausting the scan bound would
@@ -366,7 +359,7 @@ def n_threshold(n: int, lin: LinParam, max_n0: int = 1 << 20) -> int:
         (p, torus_case_status(p, params)) for p in enumerate_env_points(n)
     ]
     n0 = 1
-    while n0 <= max_n0:
+    while n0 <= _MAX_N0:
         ok = True
         for n_value in range(n0, 4 * n0 + 1):
             for p, symbolic in census:
@@ -379,5 +372,5 @@ def n_threshold(n: int, lin: LinParam, max_n0: int = 1 << 20) -> int:
             return n0
         n0 *= 2
     raise RuntimeError(
-        f"n_threshold scan exhausted at {max_n0} for n={n}, lin={lin}"
+        f"n_threshold scan exhausted at {_MAX_N0} for n={n}, lin={lin}"
     )

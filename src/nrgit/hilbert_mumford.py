@@ -34,7 +34,7 @@ from .polytope import (
     OriginLocation,
     Weight2,
     WeightSet,
-    _Quad,
+    _eventual_sign,
     contains_origin,
     weight2,
 )
@@ -106,15 +106,10 @@ class PointSupport:
 
 def _content(values: list[Fraction]) -> Fraction:
     """Positive rational g with values/g integral of gcd 1."""
-    nums = [v.numerator for v in values if v != 0]
-    dens = [v.denominator for v in values]
-    g = 0
-    for p in nums:
-        g = math.gcd(g, abs(p))
-    l = 1
-    for q in dens:
-        l = l * q // math.gcd(l, q)
-    return Fraction(g, l)
+    return Fraction(
+        math.gcd(*(v.numerator for v in values)),
+        math.lcm(*(v.denominator for v in values)),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,35 +160,41 @@ def weight_polytope(action: TorusAction, support: PointSupport) -> WeightSet:
     return WeightSet(action.coord_weights[i] for i in sorted(support.indices))
 
 
-def _pairing(w: Weight2, lam: OnePS) -> _Quad:
+def _pairing(w: Weight2, lam: OnePS) -> tuple:
+    # (c2, c1, c0) of <w, lam> = c2*N^2 + c1*N + c0
     dx, dy = lam.direction
-    return _Quad.mul(w.x, dx).add(_Quad.mul(w.y, dy))
+    return (
+        w.x.n_coeff * dx.n_coeff + w.y.n_coeff * dy.n_coeff,
+        w.x.n_coeff * dx.const + w.x.const * dx.n_coeff
+        + w.y.n_coeff * dy.const + w.y.const * dy.n_coeff,
+        w.x.const * dx.const + w.y.const * dy.const,
+    )
 
 
-def _max_pairing(action: TorusAction, support: PointSupport, lam: OnePS) -> _Quad:
-    best = None
-    for w in weight_polytope(action, support):
-        q = _pairing(w, lam)
-        if best is None or q.sub(best).sign() > 0:
-            best = q
-    return best
+def _max_pairing(action: TorusAction, support: PointSupport, lam: OnePS) -> tuple:
+    # lexicographic max of the coefficient triples is the large-N max
+    return max(_pairing(w, lam) for w in weight_polytope(action, support))
 
 
 def mu(action: TorusAction, support: PointSupport, lam: OnePS) -> AffineN:
     """Max pairing <weight, lam> over the support.
 
+    The max is taken in the lexicographic order of the pairings' (N^2, N, 1)
+    coefficients, which is their order for all sufficiently large N.
     Convention: semistable iff mu >= 0 for every one-parameter subgroup.
     For an N-linear direction against N-linear weights the maximum can be
     quadratic in N and no longer lives in the AffineN domain; use mu_sign for
     the criterion in that regime.
     """
-    best = _max_pairing(action, support, lam)
-    return best.as_affine()
+    c2, c1, c0 = _max_pairing(action, support, lam)
+    if c2 != 0:
+        raise DegreeOverflowError(f"max pairing {c2}N^2 + {c1}N + {c0} is quadratic in N")
+    return AffineN(c1, c0)
 
 
 def mu_sign(action: TorusAction, support: PointSupport, lam: OnePS) -> int:
     """Eventual sign of the max pairing, defined for every direction."""
-    return _max_pairing(action, support, lam).sign()
+    return _eventual_sign(*_max_pairing(action, support, lam))
 
 
 _LOCATION_TO_STATUS = {

@@ -39,6 +39,7 @@ from .binary_forms import (
 from .envelope import (
     EnvParams,
     EnvPoint,
+    _marked_choices,
     embed_divisor,
     enumerate_env_points,
     group_status,
@@ -188,16 +189,11 @@ def _unipotent_moves(p: EnvPoint) -> list[EnvPoint]:
     moves = []
     for sup in vcases:
         for a, b, rest in _slot_placements(masses):
-            special = sup & {1, 2}
-            if special == {1}:
-                marked = a
-            elif special == {2}:
-                marked = b
-            elif special:
-                marked = 0  # irrelevant to the 1-D weights; any coherent value
-            else:
-                marked = None
-            moves.append(EnvPoint(frozenset(sup), Divisor(n, a, b, tuple(rest)), marked))
+            moved = Divisor(n, a, b, tuple(rest))
+            # the marked root is irrelevant to the 1-D weights; any coherent
+            # value will do
+            marked = _marked_choices(sup, moved)[0]
+            moves.append(EnvPoint(sup, moved, marked))
     return moves
 
 

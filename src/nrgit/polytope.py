@@ -3,16 +3,18 @@
 Every stability question in this package reduces to: does the origin lie in
 (the interior of) the convex hull of a small set of points whose coordinates
 are a*N + b with rational a, b and N a formal parameter meant to be taken
-arbitrarily large?  AffineN realizes that scalar domain with the lexicographic
-order on (a, b), which agrees with evaluation at every concrete N above a
-finite threshold.  All predicates are decided exactly over this ordered
-domain; no floating point is used anywhere.
+arbitrarily large?  AffineN realizes that scalar domain.  Every value the
+package compares, an AffineN or a product of two, is a polynomial in N of
+degree at most two, and it is ordered by its sign for all sufficiently large
+N; _eventual_sign is the one place that decides that sign.  All predicates
+are decided exactly over this ordered domain; no floating point is used
+anywhere.
 
 contains_origin scales its points once by the LCM of their denominators (a
 positive dilation leaves the origin's location unchanged) and then works on
-plain integers: every orientation is an integer quadratic in N whose eventual
-sign is that of its leading nonzero coefficient.  It builds the monotone-chain
-hull and reads the verdict off the signs of its edges in one pass.
+plain integers: every orientation is an integer quadratic in N.  It builds
+the monotone-chain hull and reads the verdict off the signs of its edges in
+one pass.
 """
 
 from __future__ import annotations
@@ -37,6 +39,14 @@ def _frac(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {value!r}")
+
+
+def _eventual_sign(c2: Rational, c1: Rational, c0: Rational) -> int:
+    # sign of c2*N^2 + c1*N + c0 for all large N: the leading nonzero
+    # coefficient decides, so the large-N order of two such values is the
+    # lexicographic order of their (c2, c1, c0) triples
+    c = c2 or c1 or c0
+    return (c > 0) - (c < 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,12 +126,8 @@ class AffineN:
         return self.n_coeff == 0 and self.const == 0
 
     def sign(self) -> int:
-        # Sign for all sufficiently large N: leading coefficient decides.
-        if self.n_coeff != 0:
-            return 1 if self.n_coeff > 0 else -1
-        if self.const != 0:
-            return 1 if self.const > 0 else -1
-        return 0
+        """Sign for all sufficiently large N."""
+        return _eventual_sign(0, self.n_coeff, self.const)
 
     def eval_at(self, n_value: Rational) -> Fraction:
         """Evaluate at a concrete N > 0."""
@@ -155,44 +161,6 @@ N = AffineN(1, 0)
 def cmp(a: AffineN, b: AffineN) -> int:
     """-1, 0, or +1: the eventual order of a vs b for large N."""
     return (a - b).sign()
-
-
-class _Quad(NamedTuple):
-    """Internal degree-2 polynomial c2*N^2 + c1*N + c0 used by sign predicates.
-
-    Cross and dot products of AffineN pairs are quadratic in N; their eventual
-    sign is the sign of the leading nonzero coefficient.  This type never
-    escapes the package's public API.
-    """
-
-    c2: Fraction
-    c1: Fraction
-    c0: Fraction
-
-    @staticmethod
-    def mul(a: AffineN, b: AffineN) -> "_Quad":
-        return _Quad(
-            a.n_coeff * b.n_coeff,
-            a.n_coeff * b.const + a.const * b.n_coeff,
-            a.const * b.const,
-        )
-
-    def add(self, other: "_Quad") -> "_Quad":
-        return _Quad(self.c2 + other.c2, self.c1 + other.c1, self.c0 + other.c0)
-
-    def sub(self, other: "_Quad") -> "_Quad":
-        return _Quad(self.c2 - other.c2, self.c1 - other.c1, self.c0 - other.c0)
-
-    def sign(self) -> int:
-        for c in (self.c2, self.c1, self.c0):
-            if c != 0:
-                return 1 if c > 0 else -1
-        return 0
-
-    def as_affine(self) -> AffineN:
-        if self.c2 != 0:
-            raise DegreeOverflowError(f"{self} is quadratic in N")
-        return AffineN(self.c1, self.c0)
 
 
 class Weight2(NamedTuple):
@@ -235,13 +203,6 @@ class OriginLocation(Enum):
     OUTSIDE = "Outside"
     BOUNDARY = "Boundary"
     INTERIOR = "Interior"
-
-
-def _eventual_sign(c2: int, c1: int, c0: int) -> int:
-    # sign of c2*N^2 + c1*N + c0 for all large N: the leading nonzero
-    # coefficient decides
-    c = c2 or c1 or c0
-    return (c > 0) - (c < 0)
 
 
 def _turn(o: tuple, p: tuple, q: tuple) -> int:

@@ -162,6 +162,16 @@ class TestCensus:
         code, _, _ = run(capsys, "census", "--n", "3", "--m", "1", "--r", "1")
         assert code == 0
 
+    def test_guard_checked_before_any_census(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("envelope report built past the census guard")
+
+        monkeypatch.setenv("NRGIT_MAX_CENSUS_N", "2")
+        monkeypatch.setattr(cli, "strong_envelope_report", refuse)
+        code, _, err = run(capsys, "census", "--n", "3", "--m", "1", "--r", "1")
+        assert code == 2
+        assert "guard" in err
+
 
 class TestDiagram:
     def test_svg_well_formed(self, capsys):

@@ -74,6 +74,31 @@ class TestEnvPoint:
         with pytest.raises(ValueError):
             EnvPoint(set(), Divisor(1, 1, 0, ()))
 
+    def test_marked_rule_over_every_point_up_to_degree_five(self):
+        def legal(sup, d):
+            if 1 in sup and 2 in sup:
+                return {0, *d.generic}
+            if 1 in sup:
+                return {d.mult_inf}
+            if 2 in sup:
+                return {d.mult_zero}
+            return {None}
+
+        supports = [
+            s for k in (1, 2, 3) for s in itertools.combinations((0, 1, 2), k)
+        ]
+        for n in range(1, 6):
+            accepted = []
+            for d in enumerate_profiles(n):
+                for sup in supports:
+                    for marked in (None, *range(n + 1)):
+                        if marked in legal(sup, d):
+                            accepted.append(EnvPoint(sup, d, marked))
+                        else:
+                            with pytest.raises(ValueError, match="inconsistent marked data"):
+                                EnvPoint(sup, d, marked)
+            assert enumerate_env_points(n) == accepted
+
     def test_census_is_coherent_and_visits_all_supports(self):
         pts = enumerate_env_points(3)
         sups = {frozenset(p.v_support) for p in pts}
