@@ -460,6 +460,14 @@ def main(argv=None) -> int:
     except (AssertionError, RuntimeError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 4
+    except ArithmeticError as exc:
+        # DegreeOverflowError, ZeroDivisionError: exact arithmetic left the
+        # domain the engine decides over
+        print(
+            f"internal invariant violation: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return 4
 
 
 if __name__ == "__main__":

@@ -89,7 +89,8 @@ class EnvPoint:
         self._check_marked()
 
     def _check_marked(self):
-        choices = _marked_choices(self.v_support, self.divisor)
+        d = self.divisor
+        choices = _marked_choices(self.v_support, d.mult_inf, d.mult_zero, d.generic)
         if self.marked_mult not in choices:
             raise ValueError(
                 f"inconsistent marked data: v-support {sorted(self.v_support)} "
@@ -101,15 +102,16 @@ class EnvPoint:
         return f"(v:{sup}, d:{self.divisor}, marked:{self.marked_mult})"
 
 
-def _marked_choices(v_support: frozenset[int] | set[int], d: Divisor) -> list:
-    # legal marked_mult values for this v-support, in enumeration order
+def _marked_choices(v_support, mult_inf: int, mult_zero: int, generic) -> list:
+    # legal marked_mult values for this v-support and these slot masses and
+    # generic multiplicities, in enumeration order
     v1, v2 = 1 in v_support, 2 in v_support
     if v1 and v2:
-        return sorted({0, *d.generic})
+        return sorted({0, *generic})
     if v1:
-        return [d.mult_inf]
+        return [mult_inf]
     if v2:
-        return [d.mult_zero]
+        return [mult_zero]
     return [None]
 
 
@@ -174,15 +176,22 @@ def torus_case_status(p: EnvPoint, params: EnvParams) -> Status:
     per v-support case, exact membership and interiority conditions.  Agrees
     with torus_status(point_polytope(p)) on every representable point.
     """
-    n, m, r = params.n, params.lin.m, params.lin.r
     d = p.divisor
-    _check_degree(d, n)
-    if 0 not in p.v_support:
+    _check_degree(d, params.n)
+    return _torus_case(
+        p.v_support, d.mult_inf, d.mult_zero, params.n, params.lin.m, params.lin.r
+    )
+
+
+def _torus_case(v_support, mult_inf: int, mult_zero: int, n: int, m: int, r: int) -> Status:
+    # the torus status reads only the v-support and the two slot masses, so
+    # the placement oracles call this on raw placements
+    if 0 not in v_support:
         # every weight sits at height r - N < 0
         return Status.UNSTABLE
-    a = m * (2 * d.mult_inf - n)
-    b = m * (n - 2 * d.mult_zero)
-    special = p.v_support & {1, 2}
+    a = m * (2 * mult_inf - n)
+    b = m * (n - 2 * mult_zero)
+    special = v_support & {1, 2}
     if not special:
         # horizontal segment at height r
         return _status(False, r == 0 and a <= 0 <= b)
@@ -237,9 +246,14 @@ def unipotent_case_status(p: EnvPoint, n: int) -> Status:
     """
     d = p.divisor
     _check_degree(d, n)
-    alphas = sorted(_T1_WEIGHTS[j] for j in p.v_support)
-    lo = _eventual_sign(0, alphas[0], 2 * d.mult_inf - n)
-    hi = _eventual_sign(0, alphas[-1], n - 2 * d.mult_zero)
+    return _unipotent_case(p.v_support, d.mult_inf, d.mult_zero, n)
+
+
+def _unipotent_case(v_support, mult_inf: int, mult_zero: int, n: int) -> Status:
+    # like _torus_case: the v-support and the two slot masses decide
+    alphas = sorted(_T1_WEIGHTS[j] for j in v_support)
+    lo = _eventual_sign(0, alphas[0], 2 * mult_inf - n)
+    hi = _eventual_sign(0, alphas[-1], n - 2 * mult_zero)
     return _status(lo < 0 < hi, lo <= 0 <= hi)
 
 
@@ -266,7 +280,7 @@ def enumerate_env_points(n: int) -> list[EnvPoint]:
         EnvPoint(sup, d, marked)
         for d in _all_profiles(n)
         for sup in subsets
-        for marked in _marked_choices(sup, d)
+        for marked in _marked_choices(sup, d.mult_inf, d.mult_zero, d.generic)
     ]
 
 

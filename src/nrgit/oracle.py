@@ -20,6 +20,15 @@ Placement rules per group:
                      (v1, v2) are invariants of the action.
   UnipotentEnvelope  untwisted SL(2) placements with 1-D torus weights: slot
                      placements and v-cases vary independently.
+
+A placement is scored from its v-support and its two slot masses alone
+(envelope._torus_case, envelope._unipotent_case), so the oracles score raw
+placement tuples and build no EnvPoint or Divisor; moves_for builds EnvPoints
+from the same enumeration for callers that want them.  Within one
+diff_report, the UnipotentEnvelope worst case is evaluated once per class
+(v_support, sorted root masses) and the FullEnvelopeGroup worst case once per
+class (v_support, sorted root masses, marked_mult), the exact inputs of those
+move rules; TorusOnly and Borel placements are scored per point.
 """
 
 from __future__ import annotations
@@ -39,13 +48,15 @@ from .binary_forms import (
 from .envelope import (
     EnvParams,
     EnvPoint,
+    _check_degree,
     _marked_choices,
+    _torus_case,
+    _unipotent_case,
     embed_divisor,
     enumerate_env_points,
     group_status,
     point_polytope,
     torus_case_status,
-    unipotent_case_status,
     unipotent_status,
 )
 from .hilbert_mumford import PointSupport, Status, TorusAction, _status, torus_status
@@ -103,10 +114,6 @@ class GroupMoveSet:
     moves: tuple[EnvPoint, ...]
 
 
-def _root_masses(d: Divisor) -> list[int]:
-    return list(d.all_mults())
-
-
 def _remove_one(masses: list[int], value: int) -> list[int]:
     if value == 0:
         return list(masses)
@@ -123,101 +130,89 @@ def _slot_placements(masses: list[int]):
             yield a, b, _remove_one(rest_a, b)
 
 
-def _borel_moves(p: EnvPoint) -> list[EnvPoint]:
-    if p.v_support != {0, 1} or p.marked_mult != p.divisor.mult_inf:
-        raise ValueError(
-            f"Borel moves are defined for embedded configurations, got {p}"
-        )
-    d = p.divisor
-    n = d.n
-    others = ([d.mult_zero] if d.mult_zero > 0 else []) + list(d.generic)
-    moves = []
-    for q in sorted({0, *others}):
-        rest = _remove_one(others, q)
-        moved = Divisor(n, d.mult_inf, q, tuple(rest))
-        moves.append(EnvPoint({0, 1}, moved, moved.mult_inf))
-    return moves
+def _placements(kind: GroupKind, p: EnvPoint) -> list[tuple]:
+    """Every placement the group reaches from p, as raw
+    (v_support, mult_inf, mult_zero, generic, marked_mult) tuples.
 
-
-def _full_group_moves(p: EnvPoint) -> list[EnvPoint]:
+    The one enumeration of the move rules: moves_for builds its EnvPoints
+    from these tuples and the oracles score them without building any.
+    """
     d = p.divisor
-    n = d.n
-    masses = _root_masses(d)
-    has_v0 = 0 in p.v_support
-    special = p.v_support & {1, 2}
-    moves = []
-    if not special:
+    sup = p.v_support
+    if kind is GroupKind.TORUS_ONLY:
+        return [(sup, d.mult_inf, d.mult_zero, d.generic, p.marked_mult)]
+    if kind is GroupKind.BOREL:
+        if sup != {0, 1} or p.marked_mult != d.mult_inf:
+            raise ValueError(
+                f"Borel moves are defined for embedded configurations, got {p}"
+            )
+        others = ([d.mult_zero] if d.mult_zero > 0 else []) + list(d.generic)
+        return [
+            (sup, d.mult_inf, q, _remove_one(others, q), d.mult_inf)
+            for q in sorted({0, *others})
+        ]
+    masses = list(d.all_mults())
+    # v0 and the vanishing of (v1, v2) are invariants of both envelope groups
+    base = sup & {0}
+    if kind is GroupKind.UNIPOTENT_ENVELOPE:
+        vcases = [base | {1}, base | {2}, base | {1, 2}] if sup & {1, 2} else [base]
+        # the marked root is irrelevant to the 1-D weights; any coherent
+        # value will do
+        return [
+            (case, a, b, rest, _marked_choices(case, a, b, rest)[0])
+            for case in vcases
+            for a, b, rest in _slot_placements(masses)
+        ]
+    if kind is not GroupKind.FULL_ENVELOPE_GROUP:
+        raise ValueError(f"unknown group kind {kind!r}")
+    if not sup & {1, 2}:
         # (v1, v2) = (0, 0) is preserved; only slot placements vary
-        sup = frozenset({0}) if has_v0 else None
-        if sup is None:
-            raise ValueError(f"EnvPoint with empty v-support: {p}")
-        for a, b, rest in _slot_placements(masses):
-            moves.append(EnvPoint(sup, Divisor(n, a, b, tuple(rest)), None))
-        return moves
+        return [(base, a, b, rest, None) for a, b, rest in _slot_placements(masses)]
     marked = p.marked_mult
     others = _remove_one(masses, marked)
-    base = {0} if has_v0 else set()
-    # marked point sent to [1:0]
-    for q in sorted({0, *others}):
-        rest = _remove_one(others, q)
-        moves.append(
-            EnvPoint(base | {1}, Divisor(n, marked, q, tuple(rest)), marked)
-        )
-    # marked point sent to [0:1]
-    for q in sorted({0, *others}):
-        rest = _remove_one(others, q)
-        moves.append(
-            EnvPoint(base | {2}, Divisor(n, q, marked, tuple(rest)), marked)
-        )
-    # marked point kept generic: slots take non-marked roots
-    for a, b, rest in _slot_placements(others):
-        gen = tuple(rest + ([marked] if marked > 0 else []))
-        moves.append(EnvPoint(base | {1, 2}, Divisor(n, a, b, gen), marked))
-    return moves
-
-
-def _unipotent_moves(p: EnvPoint) -> list[EnvPoint]:
-    d = p.divisor
-    n = d.n
-    masses = _root_masses(d)
-    has_v0 = 0 in p.v_support
-    base = {0} if has_v0 else set()
-    if p.v_support & {1, 2}:
-        vcases = [base | {1}, base | {2}, base | {1, 2}]
-    else:
-        vcases = [base]
-    moves = []
-    for sup in vcases:
-        for a, b, rest in _slot_placements(masses):
-            moved = Divisor(n, a, b, tuple(rest))
-            # the marked root is irrelevant to the 1-D weights; any coherent
-            # value will do
-            marked = _marked_choices(sup, moved)[0]
-            moves.append(EnvPoint(sup, moved, marked))
-    return moves
+    other_slot = sorted({0, *others})
+    tail = [marked] if marked > 0 else []
+    return (
+        # marked point sent to [1:0]
+        [(base | {1}, marked, q, _remove_one(others, q), marked) for q in other_slot]
+        # marked point sent to [0:1]
+        + [(base | {2}, q, marked, _remove_one(others, q), marked) for q in other_slot]
+        # marked point kept generic: slots take non-marked roots
+        + [
+            (base | {1, 2}, a, b, rest + tail, marked)
+            for a, b, rest in _slot_placements(others)
+        ]
+    )
 
 
 def moves_for(kind: GroupKind, p: EnvPoint) -> GroupMoveSet:
-    if kind is GroupKind.TORUS_ONLY:
-        moves = [p]
-    elif kind is GroupKind.BOREL:
-        moves = _borel_moves(p)
-    elif kind is GroupKind.FULL_ENVELOPE_GROUP:
-        moves = _full_group_moves(p)
-    elif kind is GroupKind.UNIPOTENT_ENVELOPE:
-        moves = _unipotent_moves(p)
-    else:
-        raise ValueError(f"unknown group kind {kind!r}")
-    return GroupMoveSet(kind, tuple(moves))
+    n = p.divisor.n
+    return GroupMoveSet(
+        kind,
+        tuple(
+            EnvPoint(sup, Divisor(n, a, b, tuple(generic)), marked)
+            for sup, a, b, generic, marked in _placements(kind, p)
+        ),
+    )
 
 
-def _worst_over(moveset: GroupMoveSet, n: int, lin: LinParam | None) -> Status:
-    if moveset.group is GroupKind.UNIPOTENT_ENVELOPE:
-        return min(unipotent_case_status(q, n) for q in moveset.moves)
+def _worst_of(placements, group: GroupKind, n: int, lin: LinParam | None) -> Status:
+    # worst status over raw placement tuples, from the slot masses alone
+    if group is GroupKind.UNIPOTENT_ENVELOPE:
+        return min(_unipotent_case(sup, a, b, n) for sup, a, b, _, _ in placements)
     if lin is None:
-        raise ValueError(f"{moveset.group.value} placements require a linearisation")
-    params = EnvParams(n, lin)
-    return min(torus_case_status(q, params) for q in moveset.moves)
+        raise ValueError(f"{group.value} placements require a linearisation")
+    m, r = lin.m, lin.r
+    return min(_torus_case(sup, a, b, n, m, r) for sup, a, b, _, _ in placements)
+
+
+def _raw_moves(moveset: GroupMoveSet, n: int):
+    # a caller's move set back to raw tuples, refusing a move of another
+    # degree as the public statuses do
+    for q in moveset.moves:
+        d = q.divisor
+        _check_degree(d, n)
+        yield q.v_support, d.mult_inf, d.mult_zero, d.generic, q.marked_mult
 
 
 def worst_case_status(
@@ -227,17 +222,36 @@ def worst_case_status(
     embedded configuration.  This is the oracle the closed forms must match.
     """
     if isinstance(group, GroupMoveSet):
-        moveset = group
+        return _worst_of(_raw_moves(group, d.n), group.group, d.n, lin)
+    return _worst_of(_placements(group, embed_divisor(d)), group, d.n, lin)
+
+
+def _class_worst(kind: GroupKind, p: EnvPoint, lin: LinParam | None, seen: dict) -> Status:
+    """worst_case_status of p's placements, scored once per placement class.
+
+    A UnipotentEnvelope class is (v_support, sorted root masses) and a
+    FullEnvelopeGroup class adds marked_mult: exactly what _placements reads
+    for those groups.  seen holds the scored classes and must serve one
+    linearisation only.
+    """
+    d = p.divisor
+    if kind is GroupKind.UNIPOTENT_ENVELOPE:
+        key = (kind, p.v_support, tuple(sorted(d.all_mults())))
+    elif kind is GroupKind.FULL_ENVELOPE_GROUP:
+        key = (kind, p.v_support, tuple(sorted(d.all_mults())), p.marked_mult)
     else:
-        moveset = moves_for(group, embed_divisor(d))
-    return _worst_over(moveset, d.n, lin)
+        return _worst_of(_placements(kind, p), kind, d.n, lin)
+    status = seen.get(key)
+    if status is None:
+        status = seen[key] = _worst_of(_placements(kind, p), kind, d.n, lin)
+    return status
 
 
 def _sl2_placement_status(d: Divisor) -> Status:
     # independent check for classify_sl2: 1-D weights 2i - n over all slot
     # placements, no completion factor and no twist
     best = Status.STABLE
-    for a, b, _ in _slot_placements(_root_masses(d)):
+    for a, b, _ in _slot_placements(list(d.all_mults())):
         lo = 2 * a - d.n
         hi = d.n - 2 * b
         best = min(best, _status(lo < 0 < hi, lo <= 0 <= hi))
@@ -278,6 +292,8 @@ def diff_report(
     borel_fn = classify_borel_fn or classify_borel
     census = enumerate_profiles(n, max_n)
     params = EnvParams(n, lin)
+    # placement classes scored so far, for this report's linearisation only
+    seen: dict = {}
     rows: list[DiffRow] = []
     checked = 0
 
@@ -287,16 +303,17 @@ def diff_report(
 
     for d in census:
         checked += 1
+        p = embed_divisor(d)
         record(
             "borel closed form vs Borel placements",
             d,
-            worst_case_status(d, lin, GroupKind.BOREL),
+            _class_worst(GroupKind.BOREL, p, lin, seen),
             borel_fn(d, lin),
         )
         record(
             "unipotent closed form vs SL(2) placements",
             d,
-            worst_case_status(d, None, GroupKind.UNIPOTENT_ENVELOPE),
+            _class_worst(GroupKind.UNIPOTENT_ENVELOPE, p, None, seen),
             classify_unipotent(d),
         )
         record(
@@ -310,13 +327,13 @@ def diff_report(
         record(
             "group closed form vs tied placements",
             p,
-            _worst_over(moves_for(GroupKind.FULL_ENVELOPE_GROUP, p), n, lin),
+            _class_worst(GroupKind.FULL_ENVELOPE_GROUP, p, lin, seen),
             group_status(p, params),
         )
         record(
             "unipotent closed form vs SL(2) placements (completion point)",
             p,
-            _worst_over(moves_for(GroupKind.UNIPOTENT_ENVELOPE, p), n, None),
+            _class_worst(GroupKind.UNIPOTENT_ENVELOPE, p, None, seen),
             unipotent_status(p, n),
         )
         weights = point_polytope(p, params)

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from nrgit import cli
+from nrgit import DegreeOverflowError, cli
 
 
 def run(capsys, *argv):
@@ -171,6 +171,19 @@ class TestCensus:
         code, _, err = run(capsys, "census", "--n", "3", "--m", "1", "--r", "1")
         assert code == 2
         assert "guard" in err
+
+    def test_arithmetic_error_exits_four_naming_its_type(self, capsys, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise DegreeOverflowError("pairing is quadratic in N")
+
+        monkeypatch.setattr(cli, "diff_report", overflow)
+        code, out, err = run(capsys, "census", "--n", "3", "--m", "1", "--r", "1")
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "internal invariant violation: DegreeOverflowError: "
+            "pairing is quadratic in N\n"
+        )
 
 
 class TestDiagram:

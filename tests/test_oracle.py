@@ -155,6 +155,42 @@ class TestWorstCaseStatus:
             worst_case_status(Divisor(3, 1, 0, (2,)), None, GroupKind.BOREL)
 
 
+class TestCensusPath:
+    def test_class_scoring_matches_public_statuses(self):
+        # diff_report scores each placement class once, from raw slot masses;
+        # per point, kind and slope that must equal the worst public status
+        # over the point's EnvPoint moves
+        from nrgit.oracle import _class_worst
+
+        unip = GroupKind.UNIPOTENT_ENVELOPE
+        for n in range(1, 7):
+            movesets = {}
+            for p in enumerate_env_points(n):
+                for kind in GroupKind:
+                    try:
+                        movesets[p, kind] = moves_for(kind, p).moves
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            _class_worst(kind, p, LinParam(1, 0), {})
+            unip_want = {
+                p: min(unipotent_case_status(q, n) for q in moves)
+                for (p, kind), moves in movesets.items()
+                if kind is unip
+            }
+            for tau in tau_grid(n):
+                lin = lin_for(tau)
+                params = EnvParams(n, lin)
+                seen = {}
+                for (p, kind), moves in movesets.items():
+                    if kind is unip:
+                        got = _class_worst(kind, p, None, seen)
+                        want = unip_want[p]
+                    else:
+                        got = _class_worst(kind, p, lin, seen)
+                        want = min(torus_case_status(q, params) for q in moves)
+                    assert got is want, (str(p), kind, lin)
+
+
 class TestDiffReport:
     def test_clean_on_small_grid(self):
         for n in (1, 2, 3):
