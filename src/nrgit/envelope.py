@@ -46,10 +46,6 @@ E_WEIGHTS = {
 
 _V_LABELS = {0: "[1:0:0]", 1: "[0:1:0]", 2: "[0:0:1]"}
 
-# the T1 weights as ints, so the per-placement unipotent test compares no
-# Fractions
-_T1_WEIGHTS = {j: int(e.x.const) for j, e in E_WEIGHTS.items()}
-
 
 @dataclass(frozen=True, slots=True)
 class EnvParams:
@@ -251,7 +247,7 @@ def unipotent_case_status(p: EnvPoint, n: int) -> Status:
 
 def _unipotent_case(v_support, mult_inf: int, mult_zero: int, n: int) -> Status:
     # like _torus_case: the v-support and the two slot masses decide
-    alphas = sorted(_T1_WEIGHTS[j] for j in v_support)
+    alphas = sorted(E_WEIGHTS[j].x.const for j in v_support)
     lo = _eventual_sign(0, alphas[0], 2 * mult_inf - n)
     hi = _eventual_sign(0, alphas[-1], n - 2 * mult_zero)
     return _status(lo < 0 < hi, lo <= 0 <= hi)

@@ -11,9 +11,10 @@ that certifies both quantifiers in rank 2.
 
 Directions may carry an N-part: symbolic weight sets can require separating
 lines whose slope grows with N (e.g. {(N, 0), (-N, 1)} is separated only by
-directions like -(1, 2N)), so OnePS stores a pair of AffineN values.  For
-all-rational weight sets every witness direction reduces to a primitive
-integer pair.
+directions like -(1, 2N)), so OnePS stores a pair of AffineN values, with
+int coefficients of gcd 1 (_primitive).  witness_lambdas builds directions on
+the hull kernel's integer rows and mu pairs rows with polytope._dot, so a
+Fraction appears only where a caller passes Fraction weights in.
 
 Status, the three-valued verdict every classifier in the package returns,
 is defined here because this engine gives it its meaning: the origin
@@ -26,7 +27,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from fractions import Fraction
 
 from .polytope import (
     AffineN,
@@ -34,7 +34,10 @@ from .polytope import (
     OriginLocation,
     Weight2,
     WeightSet,
+    _dot,
     _eventual_sign,
+    _integer_weights,
+    _row,
     contains_origin,
     weight2,
 )
@@ -104,34 +107,29 @@ class PointSupport:
         object.__setattr__(self, "indices", idx)
 
 
-def _content(values: list[Fraction]) -> Fraction:
-    """Positive rational g with values/g integral of gcd 1."""
-    return Fraction(
-        math.gcd(*(v.numerator for v in values)),
-        math.lcm(*(v.denominator for v in values)),
-    )
+def _primitive(row: tuple) -> tuple[int, int, int, int]:
+    # the integer row divided by its gcd: the one normal form of a direction
+    g = math.gcd(*row)
+    if g == 0:
+        raise ValueError("OnePS direction must be nonzero")
+    return tuple(c // g for c in row)
 
 
 @dataclass(frozen=True, slots=True)
 class OnePS:
     """A primitive probing direction for the mu-criterion.
 
-    Stored with integer AffineN coefficients of overall gcd 1; constant
-    directions are exactly the primitive integer pairs.
+    Stored as the positive multiple of the given direction whose int
+    coefficients have gcd 1 (an AffineN pair); constant directions are
+    exactly the primitive integer pairs.
     """
 
     direction: tuple[AffineN, AffineN]
 
     def __init__(self, direction):
-        dx = AffineN.of(direction[0])
-        dy = AffineN.of(direction[1])
-        if dx.is_zero() and dy.is_zero():
-            raise ValueError("OnePS direction must be nonzero")
-        g = _content([dx.n_coeff, dx.const, dy.n_coeff, dy.const])
-        inv = Fraction(1) / g
-        object.__setattr__(
-            self, "direction", (dx * inv, dy * inv)
-        )
+        (row,) = _integer_weights([weight2(direction[0], direction[1])])
+        ax, bx, ay, by = _primitive(row)
+        object.__setattr__(self, "direction", (AffineN(ax, bx), AffineN(ay, by)))
 
     @staticmethod
     def of(dx, dy) -> "OnePS":
@@ -141,9 +139,9 @@ class OnePS:
         dx, dy = self.direction
         if dx.n_coeff != 0 or dy.n_coeff != 0:
             raise ValueError(f"{self} is not a constant direction")
-        return (int(dx.const), int(dy.const))
+        return (dx.const, dy.const)
 
-    def _key(self):
+    def _key(self) -> tuple[int, int, int, int]:
         dx, dy = self.direction
         return (dx.n_coeff, dx.const, dy.n_coeff, dy.const)
 
@@ -160,20 +158,10 @@ def weight_polytope(action: TorusAction, support: PointSupport) -> WeightSet:
     return WeightSet(action.coord_weights[i] for i in sorted(support.indices))
 
 
-def _pairing(w: Weight2, lam: OnePS) -> tuple:
-    # (c2, c1, c0) of <w, lam> = c2*N^2 + c1*N + c0
-    dx, dy = lam.direction
-    return (
-        w.x.n_coeff * dx.n_coeff + w.y.n_coeff * dy.n_coeff,
-        w.x.n_coeff * dx.const + w.x.const * dx.n_coeff
-        + w.y.n_coeff * dy.const + w.y.const * dy.n_coeff,
-        w.x.const * dx.const + w.y.const * dy.const,
-    )
-
-
 def _max_pairing(action: TorusAction, support: PointSupport, lam: OnePS) -> tuple:
     # lexicographic max of the coefficient triples is the large-N max
-    return max(_pairing(w, lam) for w in weight_polytope(action, support))
+    key = lam._key()
+    return max(_dot(_row(w), key) for w in weight_polytope(action, support))
 
 
 def mu(action: TorusAction, support: PointSupport, lam: OnePS) -> AffineN:
@@ -209,8 +197,9 @@ def torus_status(action: TorusAction, support: PointSupport) -> Status:
     return _LOCATION_TO_STATUS[contains_origin(weight_polytope(action, support))]
 
 
-def _perp(w: Weight2) -> tuple:
-    return (-w.y, w.x)
+def _perp(row: tuple) -> tuple:
+    ax, bx, ay, by = row
+    return (-ay, -by, ax, bx)
 
 
 def witness_lambdas(S: WeightSet) -> list[OnePS]:
@@ -219,29 +208,25 @@ def witness_lambdas(S: WeightSet) -> list[OnePS]:
     mu >= 0 on all of it iff 0 is in the hull; mu > 0 on all of it iff 0 is
     interior.  Consists of every point, its perpendicular, and the
     perpendiculars of pairwise differences, in both signs; the coordinate
-    axes cover the degenerate case where every point is the origin.
+    axes cover the degenerate case where every point is the origin.  Built
+    on the integer rows of S, since a positive scaling moves no direction.
     """
-    pts = S.distinct()
-    if not pts:
+    if not S.points:
         raise ValueError("witness_lambdas: empty weight set")
-    raw: list[tuple] = []
-    for p in pts:
-        if p.x.is_zero() and p.y.is_zero():
-            continue
-        raw.append((p.x, p.y))
-        raw.append(_perp(p))
-    for p, q in itertools.combinations(pts, 2):
-        diff = Weight2(p.x - q.x, p.y - q.y)
-        if diff.x.is_zero() and diff.y.is_zero():
-            continue
-        raw.append(_perp(diff))
+    rows = set(_integer_weights(S.points))
+    raw = []
+    for p in rows:
+        if any(p):
+            raw += [p, _perp(p)]
+    for p, q in itertools.combinations(rows, 2):
+        raw.append(_perp(tuple(a - b for a, b in zip(p, q))))
     if not raw:
-        raw = [(AffineN.of(1), AffineN.of(0)), (AffineN.of(0), AffineN.of(1))]
-    out = {}
-    for dx, dy in raw:
-        for lam in (OnePS.of(dx, dy), OnePS.of(-dx, -dy)):
-            out.setdefault(lam._key(), lam)
-    return [out[k] for k in sorted(out)]
+        raw = [(0, 1, 0, 0), (0, 0, 0, 1)]
+    keys = set()
+    for row in raw:
+        key = _primitive(row)
+        keys.update((key, tuple(-c for c in key)))
+    return [OnePS((AffineN(ax, bx), AffineN(ay, by))) for ax, bx, ay, by in sorted(keys)]
 
 
 def witness_status(action: TorusAction, support: PointSupport) -> Status:

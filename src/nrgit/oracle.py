@@ -59,7 +59,7 @@ from .envelope import (
     torus_case_status,
     unipotent_status,
 )
-from .hilbert_mumford import PointSupport, Status, TorusAction, _status, torus_status
+from .hilbert_mumford import PointSupport, Status, TorusAction, torus_status
 
 DEFAULT_MAX_CENSUS_N = 12
 
@@ -248,14 +248,12 @@ def _class_worst(kind: GroupKind, p: EnvPoint, lin: LinParam | None, seen: dict)
 
 
 def _sl2_placement_status(d: Divisor) -> Status:
-    # independent check for classify_sl2: 1-D weights 2i - n over all slot
-    # placements, no completion factor and no twist
-    best = Status.STABLE
-    for a, b, _ in _slot_placements(list(d.all_mults())):
-        lo = 2 * a - d.n
-        hi = d.n - 2 * b
-        best = min(best, _status(lo < 0 < hi, lo <= 0 <= hi))
-    return best
+    # independent check for classify_sl2: the SL(2) weights 2i - n over all
+    # slot placements are the UnipotentEnvelope weights at v = [1:0:0]
+    return min(
+        _unipotent_case(frozenset({0}), a, b, d.n)
+        for a, b, _ in _slot_placements(list(d.all_mults()))
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,18 +3,20 @@
 Every stability question in this package reduces to: does the origin lie in
 (the interior of) the convex hull of a small set of points whose coordinates
 are a*N + b with rational a, b and N a formal parameter meant to be taken
-arbitrarily large?  AffineN realizes that scalar domain.  Every value the
+arbitrarily large?  AffineN realizes that scalar domain; ints stay ints, and
+a Fraction appears only where a caller passes one in.  Every value the
 package compares, an AffineN or a product of two, is a polynomial in N of
 degree at most two, and it is ordered by its sign for all sufficiently large
 N; _eventual_sign is the one place that decides that sign.  All predicates
 are decided exactly over this ordered domain; no floating point is used
 anywhere.
 
-contains_origin scales its points once by the LCM of their denominators (a
-positive dilation leaves the origin's location unchanged) and then works on
-plain integers: every orientation is an integer quadratic in N.  It builds
-the monotone-chain hull and reads the verdict off the signs of its edges in
-one pass.
+A weight is read as its row (a_x, b_x, a_y, b_y) of coefficients (_row), and
+_dot is the one large-N dot product of two rows.  contains_origin scales its
+rows once by the LCM of their denominators (a positive dilation leaves the
+origin's location unchanged) and then works on plain integers: every
+orientation is an integer quadratic in N.  It builds the monotone-chain hull
+and reads the verdict off the signs of its edges in one pass.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ class DegreeOverflowError(ArithmeticError):
     """Product would leave the degree-one domain a*N + b."""
 
 
-def _frac(value) -> Fraction:
+def _exact(value) -> Rational:
+    # ints (bool included) become plain ints, Fractions stay, floats are refused
+    if isinstance(value, int):
+        return int(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
@@ -58,18 +61,18 @@ class AffineN:
     an N-part raises DegreeOverflowError.
     """
 
-    n_coeff: Fraction
-    const: Fraction
+    n_coeff: Rational
+    const: Rational
 
     def __init__(self, n_coeff: Rational = 0, const: Rational = 0):
-        object.__setattr__(self, "n_coeff", _frac(n_coeff))
-        object.__setattr__(self, "const", _frac(const))
+        object.__setattr__(self, "n_coeff", _exact(n_coeff))
+        object.__setattr__(self, "const", _exact(const))
 
     @staticmethod
     def of(value: "AffineN | Rational") -> "AffineN":
         if isinstance(value, AffineN):
             return value
-        return AffineN(0, _frac(value))
+        return AffineN(0, value)
 
     def _key(self):
         return (self.n_coeff, self.const)
@@ -129,9 +132,10 @@ class AffineN:
         """Sign for all sufficiently large N."""
         return _eventual_sign(0, self.n_coeff, self.const)
 
-    def eval_at(self, n_value: Rational) -> Fraction:
-        """Evaluate at a concrete N > 0."""
-        n_value = _frac(n_value)
+    def eval_at(self, n_value: Rational) -> Rational:
+        """Evaluate at a concrete N > 0: an int when the coefficients and
+        n_value are ints, a Fraction as soon as one of them is."""
+        n_value = _exact(n_value)
         if n_value <= 0:
             raise ValueError(f"n_value must be positive, got {n_value}")
         return self.n_coeff * n_value + self.const
@@ -195,7 +199,7 @@ class WeightSet:
     def distinct(self) -> tuple[Weight2, ...]:
         seen = {}
         for p in self.points:
-            seen.setdefault((p.x._key(), p.y._key()), p)
+            seen.setdefault(_row(p), p)
         return tuple(seen.values())
 
 
@@ -217,19 +221,33 @@ def _turn(o: tuple, p: tuple, q: tuple) -> int:
     )
 
 
+def _dot(p: tuple, q: tuple) -> tuple:
+    # (c2, c1, c0) of the dot product of two rows, c2*N^2 + c1*N + c0
+    px1, px0, py1, py0 = p
+    qx1, qx0, qy1, qy0 = q
+    return (
+        px1 * qx1 + py1 * qy1,
+        px1 * qx0 + px0 * qx1 + py1 * qy0 + py0 * qy1,
+        px0 * qx0 + py0 * qy0,
+    )
+
+
 _ORIGIN = (0, 0, 0, 0)
+
+
+def _row(w: Weight2) -> tuple:
+    # the coefficients (a_x, b_x, a_y, b_y) of w = (a_x*N + b_x, a_y*N + b_y)
+    return (w.x.n_coeff, w.x.const, w.y.n_coeff, w.y.const)
 
 
 def _integer_weights(points: tuple[Weight2, ...]) -> list[tuple[int, int, int, int]]:
     # Scale by the LCM of every denominator: a positive dilation never moves
     # the origin across the hull boundary.
-    coeffs = [
-        (p.x.n_coeff, p.x.const, p.y.n_coeff, p.y.const) for p in points
-    ]
-    scale = math.lcm(*(c.denominator for row in coeffs for c in row))
+    rows = [_row(p) for p in points]
+    scale = math.lcm(*(c.denominator for row in rows for c in row))
     return [
         tuple(c.numerator * (scale // c.denominator) for c in row)
-        for row in coeffs
+        for row in rows
     ]
 
 
@@ -272,13 +290,8 @@ def contains_origin(S: WeightSet) -> OriginLocation:
             return OriginLocation.BOUNDARY
         return OriginLocation.OUTSIDE
     if len(hull) == 2:
-        (ax1, ax0, ay1, ay0), (bx1, bx0, by1, by0) = hull
-        dot = _eventual_sign(
-            ax1 * bx1 + ay1 * by1,
-            ax1 * bx0 + ax0 * bx1 + ay1 * by0 + ay0 * by1,
-            ax0 * bx0 + ay0 * by0,
-        )
-        if _turn(_ORIGIN, *hull) == 0 and dot <= 0:
+        # on the segment: collinear with both ends, which point apart
+        if _turn(_ORIGIN, *hull) == 0 and _eventual_sign(*_dot(*hull)) <= 0:
             return OriginLocation.BOUNDARY
         return OriginLocation.OUTSIDE
     signs = {_turn(_ORIGIN, a, b) for a, b in zip(hull, hull[1:] + hull[:1])}

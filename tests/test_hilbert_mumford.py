@@ -19,6 +19,7 @@ from nrgit import (
     PointSupport,
     Status,
     TorusAction,
+    WeightSet,
     enumerate_env_points,
     fixed_point_weights,
     mu,
@@ -151,6 +152,33 @@ def test_status_equals_witness_quantified_mu_and_oracle(pts, data):
     st_poly = torus_status(act, sup)
     assert witness_status(act, sup) is st_poly
     assert oracle_status(weight_polytope(act, sup)) is st_poly
+
+
+# built from integers: hypothesis draws these far faster than st.fractions
+denominators = st.integers(min_value=1, max_value=5)
+rational_coords = st.builds(
+    AffineN,
+    st.builds(Fraction, st.integers(min_value=-5, max_value=5), denominators),
+    st.builds(Fraction, st.integers(min_value=-60, max_value=60), denominators),
+)
+
+
+@given(
+    st.lists(st.tuples(rational_coords, rational_coords), min_size=1, max_size=6),
+    st.builds(Fraction, st.integers(min_value=1, max_value=45), denominators),
+)
+@settings(max_examples=200)
+def test_witnesses_on_rational_symbolic_weights(pts, k):
+    # the witness route scales weights to integer rows; neither the verdict
+    # nor the direction set may depend on that scaling
+    act = TorusAction(pts)
+    sup = PointSupport(range(len(pts)))
+    assert witness_status(act, sup) is torus_status(act, sup)
+    s = weight_polytope(act, sup)
+    scaled = WeightSet((k * w.x, k * w.y) for w in s)
+    assert [lam._key() for lam in witness_lambdas(s)] == [
+        lam._key() for lam in witness_lambdas(scaled)
+    ]
 
 
 @given(

@@ -10,14 +10,21 @@ from hypothesis import strategies as st
 from nrgit import (
     AffineN,
     DegreeOverflowError,
+    EnvParams,
+    LinParam,
     N,
+    OnePS,
     OriginLocation,
     WeightSet,
     ZERO,
     cmp,
     contains_origin,
+    enumerate_env_points,
+    fixed_point_weights,
+    point_polytope,
     scaled_minkowski,
     weight2,
+    witness_lambdas,
 )
 
 from helpers import hull_polygon, oracle_location
@@ -109,6 +116,43 @@ class TestAffineN:
                 break
         assert last == want
         assert sign((a - b).eval_at(n_value * 16)) == want
+
+
+class TestExactRepresentation:
+    """Ints stay ints; a Fraction appears only where a caller passes one."""
+
+    @staticmethod
+    def coefficients(values):
+        return [c for v in values for c in (v.n_coeff, v.const)]
+
+    def test_ints_stay_ints_and_no_float_appears(self):
+        assert type(AffineN(2, -3).n_coeff) is int
+        assert type(AffineN(True, 0).n_coeff) is int
+        ints, fracs = AffineN(2, 3), AffineN(Fraction(2), Fraction(3))
+        assert ints == fracs
+        assert hash(ints) == hash(fracs)
+        assert str(ints) == str(fracs)
+        assert type(AffineN(1, -3).eval_at(10)) is int
+        assert type(AffineN(1, -3).eval_at(Fraction(10))) is Fraction
+
+        coeffs = []
+        for n in range(1, 6):
+            for lin in (LinParam(1, 0), LinParam(2, 1), LinParam(3, 7)):
+                params = EnvParams(n, lin)
+                coeffs += self.coefficients(
+                    c for _, _, w in fixed_point_weights(params) for c in w
+                )
+                for p in enumerate_env_points(n):
+                    weights = point_polytope(p, params)
+                    coeffs += self.coefficients(c for w in weights for c in w)
+                    if n <= 2:
+                        coeffs += self.coefficients(
+                            c for lam in witness_lambdas(weights) for c in lam.direction
+                        )
+        lam = OnePS.of(AffineN(Fraction(1, 2), 1), Fraction(3, 4))
+        assert [type(c) for c in self.coefficients(lam.direction)] == [int] * 4
+        assert coeffs
+        assert {type(c) for c in coeffs} <= {int, Fraction}
 
 
 class TestContainsOrigin:
