@@ -14,6 +14,7 @@ violation.  NRGIT_MAX_CENSUS_N overrides the census size guard.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -242,15 +243,7 @@ def cmd_census(args) -> int:
     diffs = diff_report(args.n, lin, max_n=guard)
     envelope = strong_envelope_report(args.n, lin)
     result = {
-        "census_diff": [
-            {
-                "check": row.check,
-                "subject": row.subject,
-                "expected": row.expected,
-                "got": row.got,
-            }
-            for row in diffs.rows
-        ],
+        "census_diff": [dataclasses.asdict(row) for row in diffs.rows],
         "checks_run": diffs.checked,
         "envelope": {
             "counts_intrinsic": list(envelope.counts_intrinsic),

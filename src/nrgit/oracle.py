@@ -21,19 +21,21 @@ Placement rules per group:
   UnipotentEnvelope  untwisted SL(2) placements with 1-D torus weights: slot
                      placements and v-cases vary independently.
 
-A placement is scored from its v-support and its two slot masses alone
-(envelope._torus_case, envelope._unipotent_case), so the oracles score raw
-placement tuples and build no EnvPoint or Divisor; moves_for builds EnvPoints
-from the same enumeration for callers that want them.  Within one
-diff_report, the UnipotentEnvelope worst case is evaluated once per class
-(v_support, sorted root masses) and the FullEnvelopeGroup worst case once per
-class (v_support, sorted root masses, marked_mult), the exact inputs of those
-move rules; TorusOnly and Borel placements are scored per point.
+One function, _class_worst, scores placements: it takes the worst status
+over a point's placements, each scored from its v-support and its two slot
+masses alone (envelope._unipotent_case for UnipotentEnvelope,
+envelope._torus_case at the linearisation otherwise), so it builds no
+EnvPoint or Divisor.  worst_case_status, the SL(2) check and diff_report all
+call it; moves_for builds EnvPoints from the same enumeration for callers
+that want them.  Within one diff_report, the UnipotentEnvelope worst case is
+evaluated once per class (v_support, sorted root masses) and the
+FullEnvelopeGroup worst case once per class (v_support, sorted root masses,
+marked_mult), the exact inputs of those move rules; TorusOnly and Borel
+placements are scored per point.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,7 +50,6 @@ from .binary_forms import (
 from .envelope import (
     EnvParams,
     EnvPoint,
-    _check_degree,
     _marked_choices,
     _torus_case,
     _unipotent_case,
@@ -59,21 +60,10 @@ from .envelope import (
     torus_case_status,
     unipotent_status,
 )
-from .hilbert_mumford import PointSupport, Status, TorusAction, torus_status
+from .hilbert_mumford import _LOCATION_TO_STATUS, Status
+from .polytope import contains_origin
 
 DEFAULT_MAX_CENSUS_N = 12
-
-
-@dataclass(frozen=True, slots=True)
-class ProfileCensus:
-    n: int
-    profiles: tuple[Divisor, ...]
-
-    def __len__(self):
-        return len(self.profiles)
-
-    def __iter__(self):
-        return iter(self.profiles)
 
 
 def partition_count(k: int) -> int:
@@ -94,11 +84,11 @@ def census_size_formula(n: int) -> int:
     )
 
 
-def enumerate_profiles(n: int, max_n: int = DEFAULT_MAX_CENSUS_N) -> ProfileCensus:
+def enumerate_profiles(n: int, max_n: int = DEFAULT_MAX_CENSUS_N) -> tuple[Divisor, ...]:
     """Complete, duplicate-free census of degree-n profiles."""
     if not 1 <= n <= max_n:
         raise ValueError(f"census degree {n} outside guard range [1, {max_n}]")
-    return ProfileCensus(n, tuple(_all_profiles(n)))
+    return tuple(_all_profiles(n))
 
 
 class GroupKind(Enum):
@@ -196,64 +186,48 @@ def moves_for(kind: GroupKind, p: EnvPoint) -> GroupMoveSet:
     )
 
 
-def _worst_of(placements, group: GroupKind, n: int, lin: LinParam | None) -> Status:
-    # worst status over raw placement tuples, from the slot masses alone
-    if group is GroupKind.UNIPOTENT_ENVELOPE:
-        return min(_unipotent_case(sup, a, b, n) for sup, a, b, _, _ in placements)
-    if lin is None:
-        raise ValueError(f"{group.value} placements require a linearisation")
-    m, r = lin.m, lin.r
-    return min(_torus_case(sup, a, b, n, m, r) for sup, a, b, _, _ in placements)
+def _class_worst(kind: GroupKind, p: EnvPoint, lin: LinParam | None, seen: dict) -> Status:
+    """Worst status over the placements kind reaches from p: the one
+    placement scorer of this module.
+
+    UnipotentEnvelope placements are scored by _unipotent_case and need no
+    linearisation; every other group's by _torus_case at lin.  The
+    UnipotentEnvelope and FullEnvelopeGroup results are kept in seen per
+    placement class, (v_support, sorted root masses) plus marked_mult for
+    FullEnvelopeGroup, exactly what _placements reads for those groups.
+    seen must serve one linearisation only; {} scores a single point.
+    """
+    d = p.divisor
+    cached = kind in (GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP)
+    if cached:
+        marked = p.marked_mult if kind is GroupKind.FULL_ENVELOPE_GROUP else None
+        key = (kind, p.v_support, tuple(sorted(d.all_mults())), marked)
+        if key in seen:
+            return seen[key]
+    placements = _placements(kind, p)
+    if kind is GroupKind.UNIPOTENT_ENVELOPE:
+        status = min(_unipotent_case(sup, a, b, d.n) for sup, a, b, _, _ in placements)
+    elif lin is None:
+        raise ValueError(f"{kind.value} placements require a linearisation")
+    else:
+        m, r = lin.m, lin.r
+        status = min(_torus_case(sup, a, b, d.n, m, r) for sup, a, b, _, _ in placements)
+    if cached:
+        seen[key] = status
+    return status
 
 
-def _raw_moves(moveset: GroupMoveSet, n: int):
-    # a caller's move set back to raw tuples, refusing a move of another
-    # degree as the public statuses do
-    for q in moveset.moves:
-        d = q.divisor
-        _check_degree(d, n)
-        yield q.v_support, d.mult_inf, d.mult_zero, d.generic, q.marked_mult
-
-
-def worst_case_status(
-    d: Divisor, lin: LinParam | None, group: GroupKind | GroupMoveSet
-) -> Status:
+def worst_case_status(d: Divisor, lin: LinParam | None, group: GroupKind) -> Status:
     """Minimum per-placement torus status over the group's moves of the
     embedded configuration.  This is the oracle the closed forms must match.
     """
-    if isinstance(group, GroupMoveSet):
-        return _worst_of(_raw_moves(group, d.n), group.group, d.n, lin)
-    return _worst_of(_placements(group, embed_divisor(d)), group, d.n, lin)
-
-
-def _class_worst(kind: GroupKind, p: EnvPoint, lin: LinParam | None, seen: dict) -> Status:
-    """worst_case_status of p's placements, scored once per placement class.
-
-    A UnipotentEnvelope class is (v_support, sorted root masses) and a
-    FullEnvelopeGroup class adds marked_mult: exactly what _placements reads
-    for those groups.  seen holds the scored classes and must serve one
-    linearisation only.
-    """
-    d = p.divisor
-    if kind is GroupKind.UNIPOTENT_ENVELOPE:
-        key = (kind, p.v_support, tuple(sorted(d.all_mults())))
-    elif kind is GroupKind.FULL_ENVELOPE_GROUP:
-        key = (kind, p.v_support, tuple(sorted(d.all_mults())), p.marked_mult)
-    else:
-        return _worst_of(_placements(kind, p), kind, d.n, lin)
-    status = seen.get(key)
-    if status is None:
-        status = seen[key] = _worst_of(_placements(kind, p), kind, d.n, lin)
-    return status
+    return _class_worst(group, embed_divisor(d), lin, {})
 
 
 def _sl2_placement_status(d: Divisor) -> Status:
     # independent check for classify_sl2: the SL(2) weights 2i - n over all
     # slot placements are the UnipotentEnvelope weights at v = [1:0:0]
-    return min(
-        _unipotent_case(frozenset({0}), a, b, d.n)
-        for a, b, _ in _slot_placements(list(d.all_mults()))
-    )
+    return _class_worst(GroupKind.UNIPOTENT_ENVELOPE, EnvPoint({0}, d), None, {})
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,13 +308,10 @@ def diff_report(
             _class_worst(GroupKind.UNIPOTENT_ENVELOPE, p, None, seen),
             unipotent_status(p, n),
         )
-        weights = point_polytope(p, params)
-        action = TorusAction(tuple(weights))
-        support = PointSupport(range(len(weights)))
         record(
             "torus case list vs polytope engine",
             p,
-            torus_status(action, support),
+            _LOCATION_TO_STATUS[contains_origin(point_polytope(p, params))],
             torus_case_status(p, params),
         )
     return DiffReport(n, lin, checked, tuple(rows))

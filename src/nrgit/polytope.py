@@ -123,7 +123,9 @@ class AffineN:
         return self._key() == AffineN.of(other)._key()
 
     def __hash__(self):
-        return hash(self._key())
+        # equal to a plain int or Fraction when it carries no N, so it
+        # must hash as one
+        return hash(self.const) if self.n_coeff == 0 else hash(self._key())
 
     def is_zero(self) -> bool:
         return self.n_coeff == 0 and self.const == 0

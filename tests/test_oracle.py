@@ -213,6 +213,33 @@ class TestDiffReport:
         assert diff_report(8, LinParam(1, 2)).ok
         assert diff_report(8, LinParam(2, 5)).ok
 
+    @pytest.mark.parametrize(
+        "closed_form, check",
+        [
+            ("classify_unipotent", "unipotent closed form vs SL(2) placements"),
+            ("classify_sl2", "sl2 closed form vs slot placements"),
+            ("group_status", "group closed form vs tied placements"),
+            ("unipotent_status",
+             "unipotent closed form vs SL(2) placements (completion point)"),
+            ("torus_case_status", "torus case list vs polytope engine"),
+        ],
+    )
+    def test_each_check_fires_and_names_itself(self, monkeypatch, closed_form, check):
+        import nrgit.oracle as oracle
+
+        real = getattr(oracle, closed_form)
+        monkeypatch.setattr(
+            oracle, closed_form, lambda *args: Status((real(*args) + 1) % 3)
+        )
+        rep = diff_report(3, LinParam(1, 1))
+        assert rep.rows
+        assert {row.check for row in rep.rows} == {check}
+
+    def test_worst_case_status_takes_a_group_kind_only(self):
+        moveset = moves_for(GroupKind.BOREL, embed_divisor(Divisor(3, 1, 0, (2,))))
+        with pytest.raises(ValueError, match="unknown group kind"):
+            worst_case_status(Divisor(3, 1, 0, (2,)), LinParam(1, 1), moveset)
+
     def test_broken_classifier_is_caught_and_named(self):
         def off_by_one(d, lin):
             s = classify_borel(d, lin)

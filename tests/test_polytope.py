@@ -50,6 +50,18 @@ class TestAffineN:
     def test_order_equal_n_parts_compare_constants(self):
         assert cmp(AffineN(2, -5), AffineN(2, -4)) < 0
 
+    def test_equal_values_hash_equal(self):
+        # an AffineN without an N-part equals a plain int or Fraction, so
+        # sets and dict lookups must treat them as one key
+        for plain in (3, Fraction(1, 2)):
+            a = AffineN(0, plain)
+            assert a == plain and hash(a) == hash(plain)
+            assert len({a, plain}) == 1
+            assert {plain: "x"}.get(a) == "x"
+        with_n = AffineN(1, 3)
+        assert with_n != 3 and len({with_n, AffineN(1, 3)}) == 1
+        assert {with_n: "x"}.get(AffineN(1, 3)) == "x"
+
     def test_eval_at(self):
         assert AffineN(1, -3).eval_at(10) == 7
         assert AffineN(0, Fraction(5, 7)).eval_at(123) == Fraction(5, 7)
