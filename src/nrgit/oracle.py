@@ -28,10 +28,11 @@ envelope._torus_case at the linearisation otherwise), so it builds no
 EnvPoint or Divisor.  worst_case_status, the SL(2) check and diff_report all
 call it; moves_for builds EnvPoints from the same enumeration for callers
 that want them.  Within one diff_report, the UnipotentEnvelope worst case is
-evaluated once per class (v_support, sorted root masses) and the
-FullEnvelopeGroup worst case once per class (v_support, sorted root masses,
-marked_mult), the exact inputs of those move rules; TorusOnly and Borel
-placements are scored per point.
+evaluated once per class (v_support, sorted root masses), which the SL(2)
+check shares at v-support {0}, and the FullEnvelopeGroup worst case once per
+class (v_support, sorted root masses, marked_mult), the exact inputs of those
+move rules; TorusOnly and Borel placements are scored per point, and the
+polytope engine once per (v_support, mult_inf, mult_zero).
 """
 
 from __future__ import annotations
@@ -224,10 +225,10 @@ def worst_case_status(d: Divisor, lin: LinParam | None, group: GroupKind) -> Sta
     return _class_worst(group, embed_divisor(d), lin, {})
 
 
-def _sl2_placement_status(d: Divisor) -> Status:
+def _sl2_placement_status(d: Divisor, seen: dict) -> Status:
     # independent check for classify_sl2: the SL(2) weights 2i - n over all
     # slot placements are the UnipotentEnvelope weights at v = [1:0:0]
-    return _class_worst(GroupKind.UNIPOTENT_ENVELOPE, EnvPoint({0}, d), None, {})
+    return _class_worst(GroupKind.UNIPOTENT_ENVELOPE, EnvPoint({0}, d), None, seen)
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,6 +267,7 @@ def diff_report(
     params = EnvParams(n, lin)
     # placement classes scored so far, for this report's linearisation only
     seen: dict = {}
+    engine: dict = {}  # polytope engine status per (v_support, mult_inf, mult_zero)
     rows: list[DiffRow] = []
     checked = 0
 
@@ -291,11 +293,14 @@ def diff_report(
         record(
             "sl2 closed form vs slot placements",
             d,
-            _sl2_placement_status(d),
+            _sl2_placement_status(d, seen),
             classify_sl2(d),
         )
     for p in enumerate_env_points(n):
         checked += 1
+        key = (p.v_support, p.divisor.mult_inf, p.divisor.mult_zero)
+        if key not in engine:
+            engine[key] = _LOCATION_TO_STATUS[contains_origin(point_polytope(p, params))]
         record(
             "group closed form vs tied placements",
             p,
@@ -311,7 +316,7 @@ def diff_report(
         record(
             "torus case list vs polytope engine",
             p,
-            _LOCATION_TO_STATUS[contains_origin(point_polytope(p, params))],
+            engine[key],
             torus_case_status(p, params),
         )
     return DiffReport(n, lin, checked, tuple(rows))

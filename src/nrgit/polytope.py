@@ -14,9 +14,9 @@ anywhere.
 A weight is read as its row (a_x, b_x, a_y, b_y) of coefficients (_row), and
 _dot is the one large-N dot product of two rows.  contains_origin scales its
 rows once by the LCM of their denominators (a positive dilation leaves the
-origin's location unchanged) and then works on plain integers: every
-orientation is an integer quadratic in N.  It builds the monotone-chain hull
-and reads the verdict off the signs of its edges in one pass.
+origin's location unchanged) and hands the plain integers to _locate: every
+orientation is an integer quadratic in N.  _locate builds the monotone-chain
+hull and reads the verdict off the signs of its edges in one pass.
 """
 
 from __future__ import annotations
@@ -279,14 +279,19 @@ def contains_origin(S: WeightSet) -> OriginLocation:
     INTERIOR means the topological interior inside the ambient plane, so
     lower-dimensional hulls (segments, points) are at best BOUNDARY.
 
-    The weights are scaled to integers, their counter-clockwise hull is built
-    once, and one pass over its edges decides: the origin is outside if it
-    lies strictly right of some edge, on the boundary if it lies on some
-    edge's line, and interior otherwise.
+    The weights are scaled to integers for _locate, the one hull body (which
+    n_threshold calls once per polytope class and N): it builds their ccw
+    hull once, and one pass over its edges decides: outside if the origin is
+    strictly right of an edge, boundary if on an edge's line, else interior.
     """
     if not S.points:
         raise ValueError("contains_origin: empty weight set")
-    hull = _hull(sorted(set(_integer_weights(S.points))))
+    return _locate(_integer_weights(S.points))
+
+
+def _locate(rows: list[tuple]) -> OriginLocation:
+    # contains_origin on nonempty integer rows (a_x, b_x, a_y, b_y)
+    hull = _hull(sorted(set(rows)))
     if len(hull) == 1:
         if hull[0] == _ORIGIN:
             return OriginLocation.BOUNDARY

@@ -18,7 +18,15 @@ eventual sign for large N, which is what the package computes.
 
 from fractions import Fraction
 
-from nrgit import LinParam, Status, wall_values
+from nrgit import (
+    EnvParams,
+    LinParam,
+    Status,
+    concrete_torus_case_status,
+    enumerate_env_points,
+    torus_case_status,
+    wall_values,
+)
 
 N_STAR = Fraction(10**7)
 
@@ -119,3 +127,24 @@ def tau_grid(n, eps=Fraction(1, 7)):
     for a, b in zip(ws, ws[1:]):
         taus.add(Fraction(a + b, 2))
     return sorted(taus)
+
+
+def n_threshold_by_points(n, lin, max_n0=1 << 20):
+    """Reference for n_threshold: the point-by-point window scan.
+
+    The least N0 in 1, 2, 4, ... such that every degree-n point of the
+    completion, evaluated at every integer N in [N0, 4*N0] in increasing
+    order, has its symbolic torus status; nothing is grouped or memoised.
+    """
+    params = EnvParams(n, lin)
+    census = [(p, torus_case_status(p, params)) for p in enumerate_env_points(n)]
+    n0 = 1
+    while n0 <= max_n0:
+        if all(
+            concrete_torus_case_status(p, params, n_value) is symbolic
+            for n_value in range(n0, 4 * n0 + 1)
+            for p, symbolic in census
+        ):
+            return n0
+        n0 *= 2
+    raise RuntimeError(f"scan exhausted at {max_n0} for n={n}, lin={lin}")

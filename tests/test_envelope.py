@@ -36,7 +36,9 @@ from nrgit import (
     weight2,
 )
 
-from helpers import hull_polygon, lin_for, N_STAR
+from nrgit.hilbert_mumford import _LOCATION_TO_STATUS
+
+from helpers import hull_polygon, lin_for, n_threshold_by_points, N_STAR
 
 E_BY_LABEL = {"[1:0:0]": (0, 0), "[0:1:0]": (1, -1), "[0:0:1]": (-1, -1)}
 
@@ -319,6 +321,47 @@ class TestConcreteThreshold:
         params = EnvParams(1, LinParam(1, 0))
         for p in enumerate_env_points(1):
             assert concrete_torus_case_status(p, params, n0) is torus_case_status(p, params)
+
+    @pytest.mark.parametrize(
+        "n, m, r",
+        [
+            (n, m, r)
+            for n in range(1, 5)
+            for m in range(1, 4)
+            for r in sorted({-1, 0, 1, 2, n * m, n * m + 1})
+        ]
+        + [(n, 1, r) for n in (5, 6) for r in range(n + 2)],
+    )
+    def test_class_scan_matches_point_scan(self, n, m, r):
+        lin = LinParam(m, r)
+        assert n_threshold(n, lin) == n_threshold_by_points(n, lin)
+
+    def test_concrete_status_matches_evaluated_weights(self):
+        # the concrete path on integer rows against evaluating each weight
+        # with eval_at and locating the origin in the evaluated WeightSet
+        n_values = [*range(1, 13), Fraction(1, 2), Fraction(5, 2), Fraction(7, 2)]
+        for n in range(1, 6):
+            for lin in (LinParam(1, 0), LinParam(1, 1), LinParam(2, 3)):
+                params = EnvParams(n, lin)
+                for p in enumerate_env_points(n):
+                    poly = point_polytope(p, params)
+                    for n_value in n_values:
+                        pts = [
+                            weight2(w.x.eval_at(n_value), w.y.eval_at(n_value))
+                            for w in poly
+                        ]
+                        want = _LOCATION_TO_STATUS[contains_origin(WeightSet(pts))]
+                        got = concrete_torus_case_status(p, params, n_value)
+                        assert got is want, (str(p), lin, n_value)
+
+    def test_concrete_status_refuses_non_positive_twist(self):
+        p = embed_divisor(Divisor(3, 1, 0, (2,)))
+        params = EnvParams(3, LinParam(1, 1))
+        for n_value in (0, -1):
+            with pytest.raises(ValueError, match="positive"):
+                concrete_torus_case_status(p, params, n_value)
+        with pytest.raises(TypeError):
+            concrete_torus_case_status(p, params, 2.5)
 
     def test_small_n_disagrees_somewhere(self):
         # at N = 1 the completion weights collide and at least one point

@@ -11,6 +11,7 @@ from nrgit import (
     EnvPoint,
     GroupKind,
     LinParam,
+    OriginLocation,
     Status,
     census_size_formula,
     classify_borel,
@@ -23,6 +24,7 @@ from nrgit import (
     group_status,
     moves_for,
     partition_count,
+    point_polytope,
     torus_case_status,
     unipotent_case_status,
     worst_case_status,
@@ -147,8 +149,9 @@ class TestWorstCaseStatus:
         from nrgit.oracle import _sl2_placement_status
 
         for n in range(1, 9):
+            seen = {}  # shared by every profile of the degree, as in diff_report
             for d in enumerate_profiles(n):
-                assert _sl2_placement_status(d) is classify_sl2(d)
+                assert _sl2_placement_status(d, seen) is classify_sl2(d)
 
     def test_lin_required_for_torus_scores(self):
         with pytest.raises(ValueError, match="linearisation"):
@@ -234,6 +237,38 @@ class TestDiffReport:
         rep = diff_report(3, LinParam(1, 1))
         assert rep.rows
         assert {row.check for row in rep.rows} == {check}
+
+    def test_engine_rows_cover_every_point_of_a_class(self, monkeypatch):
+        # the polytope engine runs once per class (v_support, mult_inf,
+        # mult_zero), but a wrong verdict must name every point of the class
+        import nrgit.oracle as oracle
+
+        n, lin = 3, LinParam(1, 1)
+        params = EnvParams(n, lin)
+
+        def key(p):
+            return (p.v_support, p.divisor.mult_inf, p.divisor.mult_zero)
+
+        classes = {}
+        for p in enumerate_env_points(n):
+            classes.setdefault(key(p), []).append(p)
+        members = max(classes.values(), key=len)
+        assert len(members) > 1
+        bad = point_polytope(members[0], params)
+        real = oracle.contains_origin
+
+        def mislocate(S):
+            got = real(S)
+            if S != bad:
+                return got
+            if got is OriginLocation.OUTSIDE:
+                return OriginLocation.INTERIOR
+            return OriginLocation.OUTSIDE
+
+        monkeypatch.setattr(oracle, "contains_origin", mislocate)
+        rep = diff_report(n, lin)
+        assert [row.subject for row in rep.rows] == [str(p) for p in members]
+        assert {row.check for row in rep.rows} == {"torus case list vs polytope engine"}
 
     def test_worst_case_status_takes_a_group_kind_only(self):
         moveset = moves_for(GroupKind.BOREL, embed_divisor(Divisor(3, 1, 0, (2,))))
