@@ -18,7 +18,6 @@ multiplicity which are checked at construction.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .binary_forms import (
@@ -165,6 +164,11 @@ def point_polytope(p: EnvPoint, params: EnvParams) -> WeightSet:
         for j in sorted(p.v_support)
         for i in sorted({d.mult_inf, params.n - d.mult_zero})
     )
+
+
+def _polytope_class(p: EnvPoint) -> tuple:
+    # all that point_polytope and _torus_case read of a point
+    return (p.v_support, p.divisor.mult_inf, p.divisor.mult_zero)
 
 
 def torus_case_status(p: EnvPoint, params: EnvParams) -> Status:
@@ -371,24 +375,18 @@ def n_threshold(n: int, lin: LinParam) -> int:
     twist at every integer N in [N0, 4*N0] reproduces the symbolic status for
     every degree-n point of the completion.  Exhausting the scan bound would
     mean the symbolic order is wrong somewhere and raises.  Each polytope
-    class (v_support, mult_inf, mult_zero), all either status reads, is
-    evaluated once per N on integer rows, each N once; the result is unchanged.
+    class is evaluated once per N, on integer rows; the result is unchanged.
     """
     params = EnvParams(n, lin)
-    classes = {}
-    for p in enumerate_env_points(n):
-        key = (p.v_support, p.divisor.mult_inf, p.divisor.mult_zero)
-        if key not in classes:
-            rows = _integer_weights(point_polytope(p, params).points)
-            classes[key] = (rows, torus_case_status(p, params))
-
-    @functools.cache
-    def agrees(n_value: int) -> bool:
-        return all(_concrete_status(rows, n_value) is want for rows, want in classes.values())
-
+    reps = {_polytope_class(p): p for p in enumerate_env_points(n)}
+    classes = [
+        (_integer_weights(point_polytope(p, params).points), torus_case_status(p, params))
+        for p in reps.values()
+    ]
     n0 = 1
     while n0 <= _MAX_N0:
-        if all(agrees(n_value) for n_value in range(n0, 4 * n0 + 1)):
+        window = range(n0, 4 * n0 + 1)
+        if all(_concrete_status(rows, v) is want for v in window for rows, want in classes):
             return n0
         n0 *= 2
     raise RuntimeError(

@@ -32,7 +32,7 @@ evaluated once per class (v_support, sorted root masses), which the SL(2)
 check shares at v-support {0}, and the FullEnvelopeGroup worst case once per
 class (v_support, sorted root masses, marked_mult), the exact inputs of those
 move rules; TorusOnly and Borel placements are scored per point, and the
-polytope engine once per (v_support, mult_inf, mult_zero).
+polytope engine once per polytope class (envelope._polytope_class).
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .envelope import (
     EnvParams,
     EnvPoint,
     _marked_choices,
+    _polytope_class,
     _torus_case,
     _unipotent_case,
     embed_divisor,
@@ -267,7 +268,7 @@ def diff_report(
     params = EnvParams(n, lin)
     # placement classes scored so far, for this report's linearisation only
     seen: dict = {}
-    engine: dict = {}  # polytope engine status per (v_support, mult_inf, mult_zero)
+    engine: dict = {}  # polytope engine status per _polytope_class
     rows: list[DiffRow] = []
     checked = 0
 
@@ -298,7 +299,7 @@ def diff_report(
         )
     for p in enumerate_env_points(n):
         checked += 1
-        key = (p.v_support, p.divisor.mult_inf, p.divisor.mult_zero)
+        key = _polytope_class(p)
         if key not in engine:
             engine[key] = _LOCATION_TO_STATUS[contains_origin(point_polytope(p, params))]
         record(

@@ -239,19 +239,16 @@ class TestDiffReport:
         assert {row.check for row in rep.rows} == {check}
 
     def test_engine_rows_cover_every_point_of_a_class(self, monkeypatch):
-        # the polytope engine runs once per class (v_support, mult_inf,
-        # mult_zero), but a wrong verdict must name every point of the class
+        # the polytope engine runs once per polytope class, but a wrong
+        # verdict must name every point of the class
         import nrgit.oracle as oracle
+        from nrgit.envelope import _polytope_class
 
         n, lin = 3, LinParam(1, 1)
         params = EnvParams(n, lin)
-
-        def key(p):
-            return (p.v_support, p.divisor.mult_inf, p.divisor.mult_zero)
-
         classes = {}
         for p in enumerate_env_points(n):
-            classes.setdefault(key(p), []).append(p)
+            classes.setdefault(_polytope_class(p), []).append(p)
         members = max(classes.values(), key=len)
         assert len(members) > 1
         bad = point_polytope(members[0], params)
