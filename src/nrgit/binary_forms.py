@@ -14,15 +14,14 @@ in cleared-denominator integer form so walls are hit exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .hilbert_mumford import Status, _status
+from .polytope import _Record
 
 
-@dataclass(frozen=True, slots=True)
-class Divisor:
+class Divisor(_Record):
     """n points on P^1 by multiplicity: mass at [1:0], at [0:1], and generic.
 
     Generic entries are the multiplicities of pairwise-distinct roots away
@@ -30,14 +29,14 @@ class Divisor:
     kept sorted descending so equal profiles compare equal.
     """
 
-    n: int
-    mult_inf: int
-    mult_zero: int
-    generic: tuple[int, ...] = ()
+    __slots__ = ("n", "mult_inf", "mult_zero", "generic")
 
-    def __post_init__(self):
+    def __init__(self, n: int, mult_inf: int, mult_zero: int, generic=()):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mult_inf", mult_inf)
+        object.__setattr__(self, "mult_zero", mult_zero)
         object.__setattr__(
-            self, "generic", tuple(sorted((int(g) for g in self.generic), reverse=True))
+            self, "generic", tuple(sorted((int(g) for g in generic), reverse=True))
         )
         validate(self)
 
@@ -70,16 +69,15 @@ def validate(d: Divisor) -> Divisor:
     return d
 
 
-@dataclass(frozen=True, slots=True)
-class LinParam:
+class LinParam(_Record):
     """Rational linearisation parameter: twist r over tensor power m > 0."""
 
-    m: int
-    r: int
+    __slots__ = ("m", "r")
 
-    def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError(f"m must be a positive integer, got {self.m}")
+    def __init__(self, m: int, r: int):
+        if m <= 0:
+            raise ValueError(f"m must be a positive integer, got {m}")
+        self._set(m, r)
 
     @property
     def tau(self) -> Fraction:
@@ -170,11 +168,11 @@ def torus_limit(d: Divisor, direction: LimitDirection) -> Divisor:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class MoveStep:
-    op: str  # "move_root_to_zero" or "torus_limit"
-    arg: object
-    result: Divisor
+class MoveStep(_Record):
+    __slots__ = ("op", "arg", "result")
+
+    def __init__(self, op: str, arg, result: Divisor):
+        self._set(op, arg, result)  # op: "move_root_to_zero" or "torus_limit"
 
 
 def central_divisor(n: int, tau: Fraction) -> Divisor:

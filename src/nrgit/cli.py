@@ -14,11 +14,10 @@ violation.  NRGIT_MAX_CENSUS_N overrides the census size guard.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import gc
 import json
 import os
 import sys
-import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 from .binary_forms import (
@@ -243,7 +242,10 @@ def cmd_census(args) -> int:
     diffs = diff_report(args.n, lin, max_n=guard)
     envelope = strong_envelope_report(args.n, lin)
     result = {
-        "census_diff": [dataclasses.asdict(row) for row in diffs.rows],
+        "census_diff": [
+            {"check": r.check, "subject": r.subject, "expected": r.expected, "got": r.got}
+            for r in diffs.rows
+        ],
         "checks_run": diffs.checked,
         "envelope": {
             "counts_intrinsic": list(envelope.counts_intrinsic),
@@ -274,17 +276,28 @@ def cmd_census(args) -> int:
 
 
 def _diagram_svg(n: int, m: int, r: int, n_display: Fraction) -> str:
+    import xml.etree.ElementTree as ET  # only the diagram needs it: off start-up
+
     params = EnvParams(n, LinParam(m, r))
+    points = [
+        (label, w.x.eval_at(n_display), w.y.eval_at(n_display))
+        for label, _, w in fixed_point_weights(params)
+    ]
+    scale = 20
+    # the SVG is the only float: refuse when its width or height, at most
+    # 2 * scale * (largest |coordinate| + 2), would not fit one, and name the
+    # largest term of the coordinates +-N + m(2i - n) and -N + r
+    bound = max(abs(c) for _, x, y in points for c in (x, y))
+    if 2 * scale * (bound + 2) > sys.float_info.max:
+        flag = max((n_display, "--N"), (m * n, "--m"), (abs(r), "--r"))[1]
+        raise ValueError(f"diagram coordinates do not fit a float; use a smaller {flag}")
     families: dict[str, list[tuple[float, float]]] = {}
-    for label, _, w in fixed_point_weights(params):
-        families.setdefault(label, []).append(
-            (float(w.x.eval_at(n_display)), float(w.y.eval_at(n_display)))
-        )
+    for label, x, y in points:
+        families.setdefault(label, []).append((float(x), float(y)))
     xs = [x for pts in families.values() for x, _ in pts]
     ys = [y for pts in families.values() for _, y in pts]
     lo_x, hi_x = min(xs + [0.0]) - 2, max(xs + [0.0]) + 2
     lo_y, hi_y = min(ys + [0.0]) - 2, max(ys + [0.0]) + 2
-    scale = 20.0
     width = (hi_x - lo_x) * scale
     height = (hi_y - lo_y) * scale
 
@@ -462,6 +475,12 @@ def main(argv=None) -> int:
         )
         return 4
 
+
+# The import leaves its objects in the young GC generations and the
+# generation-1 counter near its threshold, so the first generation-1 pass
+# would fall a few allocations later, inside the command.  Collected here,
+# it is part of start-up and the command starts from empty young generations.
+gc.collect(1)
 
 if __name__ == "__main__":
     sys.exit(main())

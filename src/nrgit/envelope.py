@@ -18,8 +18,6 @@ multiplicity which are checked at construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .binary_forms import (
     Divisor,
     LinParam,
@@ -33,6 +31,7 @@ from .polytope import (
     N,
     Weight2,
     WeightSet,
+    _Record,
     _eventual_sign,
     _integer_weights,
     _locate,
@@ -50,18 +49,16 @@ E_WEIGHTS = {
 _V_LABELS = {0: "[1:0:0]", 1: "[0:1:0]", 2: "[0:0:1]"}
 
 
-@dataclass(frozen=True, slots=True)
-class EnvParams:
-    n: int
-    lin: LinParam
+class EnvParams(_Record):
+    __slots__ = ("n", "lin")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"degree must be positive, got {self.n}")
+    def __init__(self, n: int, lin: LinParam):
+        if n < 1:
+            raise ValueError(f"degree must be positive, got {n}")
+        self._set(n, lin)
 
 
-@dataclass(frozen=True, slots=True)
-class EnvPoint:
+class EnvPoint(_Record):
     """A point of P^2 x P(V) by v-coordinate support and marked-root data.
 
     marked_mult is the multiplicity of [v1:v2] as a root of the
@@ -74,9 +71,7 @@ class EnvPoint:
                                              {0} + generic multiplicities
     """
 
-    v_support: frozenset[int]
-    divisor: Divisor
-    marked_mult: int | None = None
+    __slots__ = ("v_support", "divisor", "marked_mult")
 
     def __init__(self, v_support, divisor: Divisor, marked_mult=None):
         sup = frozenset(int(j) for j in v_support)
@@ -288,18 +283,17 @@ def enumerate_env_points(n: int) -> list[EnvPoint]:
     ]
 
 
-@dataclass(frozen=True, slots=True)
-class EnvelopeReport:
-    """Census comparison of intrinsic vs completion (semi)stability."""
+class EnvelopeReport(_Record):
+    """Census comparison of intrinsic vs completion (semi)stability; each
+    count is a (stable, strictly semistable, unstable) triple."""
 
-    n: int
-    lin: LinParam
-    counts_intrinsic: tuple[int, int, int]  # stable, strictly ss, unstable
-    counts_envelope: tuple[int, int, int]
-    stable_equal: bool
-    semistable_equal: bool
-    chain_ok: bool
-    violations: tuple[str, ...]
+    __slots__ = ("n", "lin", "counts_intrinsic", "counts_envelope",
+                 "stable_equal", "semistable_equal", "chain_ok", "violations")
+
+    def __init__(self, n: int, lin: LinParam, counts_intrinsic, counts_envelope,
+                 stable_equal, semistable_equal, chain_ok, violations):
+        self._set(n, lin, counts_intrinsic, counts_envelope,
+                  stable_equal, semistable_equal, chain_ok, violations)
 
     @property
     def ok(self) -> bool:

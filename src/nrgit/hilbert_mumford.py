@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 
 from .polytope import (
@@ -34,6 +33,7 @@ from .polytope import (
     OriginLocation,
     Weight2,
     WeightSet,
+    _Record,
     _dot,
     _eventual_sign,
     _integer_weights,
@@ -78,11 +78,10 @@ def _status(stable: bool, semistable: bool) -> Status:
     return Status.UNSTABLE
 
 
-@dataclass(frozen=True, slots=True)
-class TorusAction:
+class TorusAction(_Record):
     """One rank-2 character per coordinate of the ambient space, 0-indexed."""
 
-    coord_weights: tuple[Weight2, ...]
+    __slots__ = ("coord_weights",)
 
     def __init__(self, coord_weights):
         pts = tuple(
@@ -94,11 +93,10 @@ class TorusAction:
         object.__setattr__(self, "coord_weights", pts)
 
 
-@dataclass(frozen=True, slots=True)
-class PointSupport:
+class PointSupport(_Record):
     """The set of coordinates where a point is nonzero."""
 
-    indices: frozenset[int]
+    __slots__ = ("indices",)
 
     def __init__(self, indices):
         idx = frozenset(int(i) for i in indices)
@@ -115,8 +113,7 @@ def _primitive(row: tuple) -> tuple[int, int, int, int]:
     return tuple(c // g for c in row)
 
 
-@dataclass(frozen=True, slots=True)
-class OnePS:
+class OnePS(_Record):
     """A primitive probing direction for the mu-criterion.
 
     Stored as the positive multiple of the given direction whose int
@@ -124,7 +121,7 @@ class OnePS:
     exactly the primitive integer pairs.
     """
 
-    direction: tuple[AffineN, AffineN]
+    __slots__ = ("direction",)
 
     def __init__(self, direction):
         (row,) = _integer_weights([weight2(direction[0], direction[1])])

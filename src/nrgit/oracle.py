@@ -37,7 +37,6 @@ polytope engine once per polytope class (envelope._polytope_class).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .binary_forms import (
@@ -63,7 +62,7 @@ from .envelope import (
     unipotent_status,
 )
 from .hilbert_mumford import _LOCATION_TO_STATUS, Status
-from .polytope import contains_origin
+from .polytope import _Record, contains_origin
 
 DEFAULT_MAX_CENSUS_N = 12
 
@@ -100,10 +99,11 @@ class GroupKind(Enum):
     UNIPOTENT_ENVELOPE = "UnipotentEnvelope"
 
 
-@dataclass(frozen=True, slots=True)
-class GroupMoveSet:
-    group: GroupKind
-    moves: tuple[EnvPoint, ...]
+class GroupMoveSet(_Record):
+    __slots__ = ("group", "moves")
+
+    def __init__(self, group: GroupKind, moves: tuple[EnvPoint, ...]):
+        self._set(group, moves)
 
 
 def _remove_one(masses: list[int], value: int) -> list[int]:
@@ -232,20 +232,18 @@ def _sl2_placement_status(d: Divisor, seen: dict) -> Status:
     return _class_worst(GroupKind.UNIPOTENT_ENVELOPE, EnvPoint({0}, d), None, seen)
 
 
-@dataclass(frozen=True, slots=True)
-class DiffRow:
-    check: str
-    subject: str
-    expected: str
-    got: str
+class DiffRow(_Record):
+    __slots__ = ("check", "subject", "expected", "got")
+
+    def __init__(self, check: str, subject: str, expected: str, got: str):
+        self._set(check, subject, expected, got)
 
 
-@dataclass(frozen=True, slots=True)
-class DiffReport:
-    n: int
-    lin: LinParam
-    checked: int
-    rows: tuple[DiffRow, ...]
+class DiffReport(_Record):
+    __slots__ = ("n", "lin", "checked", "rows")
+
+    def __init__(self, n: int, lin: LinParam, checked: int, rows: tuple[DiffRow, ...]):
+        self._set(n, lin, checked, rows)
 
     @property
     def ok(self) -> bool:

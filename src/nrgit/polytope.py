@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from enum import Enum
-from typing import Iterable, NamedTuple, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 class DegreeOverflowError(ArithmeticError):
@@ -52,8 +52,40 @@ def _eventual_sign(c2: Rational, c1: Rational, c0: Rational) -> int:
     return (c > 0) - (c < 0)
 
 
-@dataclass(frozen=True, slots=True)
-class AffineN:
+class _Record:
+    """Base of the immutable record types: equality (with the same class
+    only), hash and repr over the fields named in __slots__, as a frozen
+    dataclass gives them.  Assignment and deletion raise AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, *values):  # for __init__: the fields in __slots__ order
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AffineN(_Record):
     """A value a*N + b, ordered by its sign for all sufficiently large N.
 
     The order is lexicographic on (n_coeff, const).  Closed under addition,
@@ -61,8 +93,7 @@ class AffineN:
     an N-part raises DegreeOverflowError.
     """
 
-    n_coeff: Rational
-    const: Rational
+    __slots__ = ("n_coeff", "const")
 
     def __init__(self, n_coeff: Rational = 0, const: Rational = 0):
         object.__setattr__(self, "n_coeff", _exact(n_coeff))
@@ -169,22 +200,18 @@ def cmp(a: AffineN, b: AffineN) -> int:
     return (a - b).sign()
 
 
-class Weight2(NamedTuple):
-    """A character of the rank-2 torus, with AffineN components."""
-
-    x: AffineN
-    y: AffineN
+Weight2 = namedtuple("Weight2", "x y")
+Weight2.__doc__ = "A character of the rank-2 torus, with AffineN components."
 
 
 def weight2(x, y) -> Weight2:
     return Weight2(AffineN.of(x), AffineN.of(y))
 
 
-@dataclass(frozen=True, slots=True)
-class WeightSet:
+class WeightSet(_Record):
     """A finite multiset of Weight2; duplicates are irrelevant to hull tests."""
 
-    points: tuple[Weight2, ...]
+    __slots__ = ("points",)
 
     def __init__(self, points: Iterable):
         pts = tuple(

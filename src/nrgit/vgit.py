@@ -17,11 +17,11 @@ exists iff n is even: a root of multiplicity exactly n/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .binary_forms import central_divisor
+from .polytope import _Record
 # not called here; perfbench/spans.py wraps this binding by name to count the
 # profile censuses vgit runs, and every traced run fails without it
 from .binary_forms import _all_profiles  # noqa: F401
@@ -34,12 +34,13 @@ class WallKind(Enum):
     CHAMBER = "Chamber"
 
 
-@dataclass(frozen=True, slots=True)
-class WallChamber:
+class WallChamber(_Record):
     """A wall (value: Fraction) or an open chamber (value: (lo, hi))."""
 
-    kind: WallKind
-    value: Fraction | tuple[Fraction, Fraction]
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: WallKind, value: Fraction | tuple[Fraction, Fraction]):
+        self._set(kind, value)
 
 
 class QuotientKind(Enum):
@@ -50,28 +51,33 @@ class QuotientKind(Enum):
     EMPTY = "Empty"
 
 
-@dataclass(frozen=True, slots=True)
-class QuotientProfile:
-    ss_equals_s: bool
-    quotient_kind: QuotientKind
-    dimension: int | None
-    note: str | None = None
+class QuotientProfile(_Record):
+    __slots__ = ("ss_equals_s", "quotient_kind", "dimension", "note")
+
+    def __init__(self, ss_equals_s: bool, quotient_kind: QuotientKind,
+                 dimension: int | None, note: str | None = None):
+        self._set(ss_equals_s, quotient_kind, dimension, note)
 
 
-@dataclass(frozen=True, slots=True)
-class FlipData:
-    s: int
-    e_plus_weights: tuple[int, ...]
-    e_minus_weights: tuple[int, ...]
-    slice_weights: tuple[int, ...]
+class FlipData(_Record):
+    __slots__ = ("s", "e_plus_weights", "e_minus_weights", "slice_weights")
+
+    def __init__(self, s: int, e_plus_weights: tuple[int, ...],
+                 e_minus_weights: tuple[int, ...], slice_weights: tuple[int, ...]):
+        self._set(s, e_plus_weights, e_minus_weights, slice_weights)
+
+
+def _is_wall(n: int, tau) -> bool:
+    # the one wall rule, for an int or Fraction tau: 0, n, or an interior
+    # integer q with n - q even
+    return tau == 0 or tau == n or (tau.denominator == 1 and 0 < tau < n and (n - tau) % 2 == 0)
 
 
 def wall_values(n: int) -> list[Fraction]:
     """Sorted wall slopes: 0, n, and interior q with n - q even."""
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
-    interior = [Fraction(q) for q in range(n - 2, 0, -2)]
-    return sorted([Fraction(0), *interior, Fraction(n)])
+    return [Fraction(q) for q in range(n + 1) if _is_wall(n, q)]
 
 
 def walls(n: int) -> list[WallChamber]:
@@ -107,7 +113,8 @@ def chamber_profile(n: int, tau) -> QuotientProfile:
     tau = Fraction(tau)
     if not 0 <= tau <= n:
         raise ValueError(f"tau={tau} outside [0, {n}]")
-    vals = wall_values(n)
+    if n < 1:
+        raise ValueError(f"degree must be positive, got {n}")
     if n + tau < 2:
         return QuotientProfile(True, QuotientKind.EMPTY, None)
     if tau == 0:
@@ -126,7 +133,7 @@ def chamber_profile(n: int, tau) -> QuotientProfile:
             "every semistable configuration is S-equivalent to the one with "
             "all mass at [0:1]",
         )
-    if tau in vals:
+    if _is_wall(n, tau):
         return QuotientProfile(
             False,
             QuotientKind.STABLE_UNION_POINT,

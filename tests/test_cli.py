@@ -1,10 +1,15 @@
 """Command-line interface: payloads, formats, exit codes."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import nrgit
 from nrgit import DegreeOverflowError, cli
 
 
@@ -217,6 +222,46 @@ class TestDiagram:
     def test_degree_zero_rejected(self, capsys):
         code, _, _ = run(capsys, "diagram", "--n", "0", "--m", "1", "--r", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--N", "1e400"),
+        ("--r", str(10 ** 400)),
+        ("--m", str(10 ** 400)),
+        ("--N", "1e307"),  # fits a float, but the SVG's width would not
+    ], ids=["N", "r", "m", "N-width"])
+    def test_coordinates_beyond_a_float_are_a_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "diagram", "--n", "3", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: diagram coordinates do not fit a float; use a smaller {flag}\n"
+
+    def test_largest_fitting_display_value_still_draws(self, capsys):
+        code, out, _ = run(capsys, "diagram", "--n", "3", "--N", "1e300")
+        assert code == 0
+        ET.fromstring(out)
+
+
+class TestLeanStartup:
+    # SHA-256 of `diagram --n 3 --N 7/2` as the dataclass-based records printed it
+    SVG_SHA256 = "467ed3b81e713ac9d2b2263f8688159f8910a0eed550d3800d0f218a96eb6ed6"
+
+    def test_import_leaves_heavy_modules_unloaded(self):
+        # a fresh interpreter without site, as each command runs
+        script = (
+            "import sys, nrgit.cli\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'xml.etree.ElementTree')"
+            " if m in sys.modules))\n"
+            "nrgit.cli.main(['diagram', '--n', '3', '--N', '7/2'])\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nrgit.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, svg = proc.stdout.split("\n", 1)
+        assert loaded == "[]"
+        assert hashlib.sha256(svg.encode()).hexdigest() == self.SVG_SHA256
 
 
 class TestHarness:
