@@ -8,7 +8,8 @@ disagreement), diagram (SVG weight diagram at a concrete display value of N).
 Reports are deterministic: identical flags yield byte-identical output, all
 numbers are exact rationals printed as p/q, symbolic values as aN+b.  Exit
 codes: 0 success, 2 usage error, 3 census disagreement, 4 internal invariant
-violation.  NRGIT_MAX_CENSUS_N overrides the census size guard.
+violation.  NRGIT_MAX_CENSUS_N overrides the census size guard; weights, walls,
+flips and diagram, whose output grows with n, refuse n above 100000.
 """
 
 from __future__ import annotations
@@ -402,6 +403,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _bounded_degree(text: str, ceiling: int = 100_000) -> int:
+    value = _positive_int(text)
+    if value > ceiling:
+        raise argparse.ArgumentTypeError(f"degree {value} exceeds the ceiling {ceiling}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nrgit",
@@ -410,15 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p, with_lin=True):
-        p.add_argument("--n", type=_positive_int, required=True, help="degree")
+    def add_common(p, with_lin=True, degree=_bounded_degree):
+        p.add_argument("--n", type=degree, required=True, help="degree")
         if with_lin:
             p.add_argument("--m", type=_positive_int, default=1, help="tensor power m > 0")
             p.add_argument("--r", type=int, default=0, help="twist r")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("classify", help="classify one configuration")
-    add_common(p)
+    add_common(p, degree=_positive_int)
     p.add_argument(
         "--profile",
         default="",
@@ -440,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flips)
 
     p = sub.add_parser("census", help="verify closed forms against brute force")
-    add_common(p)
+    add_common(p, degree=_positive_int)  # diff_report applies the census guard
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("diagram", help="SVG weight diagram")

@@ -21,18 +21,19 @@ Placement rules per group:
   UnipotentEnvelope  untwisted SL(2) placements with 1-D torus weights: slot
                      placements and v-cases vary independently.
 
-One function, _class_worst, scores placements: it takes the worst status
-over a point's placements, each scored from its v-support and its two slot
-masses alone (envelope._unipotent_case for UnipotentEnvelope,
-envelope._torus_case at the linearisation otherwise), so it builds no
-EnvPoint or Divisor.  worst_case_status, the SL(2) check and diff_report all
-call it; moves_for builds EnvPoints from the same enumeration for callers
-that want them.  Within one diff_report, the UnipotentEnvelope worst case is
-evaluated once per class (v_support, sorted root masses), which the SL(2)
-check shares at v-support {0}, and the FullEnvelopeGroup worst case once per
-class (v_support, sorted root masses, marked_mult), the exact inputs of those
-move rules; TorusOnly and Borel placements are scored per point, and the
-polytope engine once per polytope class (envelope._polytope_class).
+A placement is a raw (v_support, mult_inf, mult_zero, marked_mult) tuple,
+of which the scorers read the first three.  moves_for builds EnvPoints
+from the same enumeration, each move's generic roots being the point's root
+masses less the two slot masses.  One function, _class_worst, scores
+placements, by envelope._unipotent_case for UnipotentEnvelope and
+envelope._torus_case at the linearisation otherwise, and takes the worst;
+worst_case_status, the SL(2) check and diff_report all call it.  Within one
+diff_report a status table scores each distinct (scorer, v_support,
+mult_inf, mult_zero) once, and holds the worst case of each UnipotentEnvelope
+and FullEnvelopeGroup placement class (v_support, sorted root masses, plus
+marked_mult for FullEnvelopeGroup); a scan stops at its first Unstable
+placement.  The polytope engine runs once per polytope class
+(envelope._polytope_class).
 """
 
 from __future__ import annotations
@@ -107,24 +108,22 @@ class GroupMoveSet(_Record):
 
 
 def _remove_one(masses: list[int], value: int) -> list[int]:
-    if value == 0:
-        return list(masses)
     out = list(masses)
-    out.remove(value)
+    if value:
+        out.remove(value)
     return out
 
 
-def _slot_placements(masses: list[int]):
-    """All (a, b, rest): distinct roots (or nothing) at the two slots."""
+def _slot_pairs(masses: list[int]):
+    """All (a, b): distinct roots (or nothing) at the two slots."""
     for a in sorted({0, *masses}):
-        rest_a = _remove_one(masses, a)
-        for b in sorted({0, *rest_a}):
-            yield a, b, _remove_one(rest_a, b)
+        for b in sorted({0, *_remove_one(masses, a)}):
+            yield a, b
 
 
 def _placements(kind: GroupKind, p: EnvPoint) -> list[tuple]:
     """Every placement the group reaches from p, as raw
-    (v_support, mult_inf, mult_zero, generic, marked_mult) tuples.
+    (v_support, mult_inf, mult_zero, marked_mult) tuples.
 
     The one enumeration of the move rules: moves_for builds its EnvPoints
     from these tuples and the oracles score them without building any.
@@ -132,58 +131,52 @@ def _placements(kind: GroupKind, p: EnvPoint) -> list[tuple]:
     d = p.divisor
     sup = p.v_support
     if kind is GroupKind.TORUS_ONLY:
-        return [(sup, d.mult_inf, d.mult_zero, d.generic, p.marked_mult)]
+        return [(sup, d.mult_inf, d.mult_zero, p.marked_mult)]
     if kind is GroupKind.BOREL:
         if sup != {0, 1} or p.marked_mult != d.mult_inf:
             raise ValueError(
                 f"Borel moves are defined for embedded configurations, got {p}"
             )
-        others = ([d.mult_zero] if d.mult_zero > 0 else []) + list(d.generic)
-        return [
-            (sup, d.mult_inf, q, _remove_one(others, q), d.mult_inf)
-            for q in sorted({0, *others})
-        ]
+        return [(sup, d.mult_inf, q, d.mult_inf) for q in sorted({0, d.mult_zero, *d.generic})]
     masses = list(d.all_mults())
     # v0 and the vanishing of (v1, v2) are invariants of both envelope groups
     base = sup & {0}
     if kind is GroupKind.UNIPOTENT_ENVELOPE:
         vcases = [base | {1}, base | {2}, base | {1, 2}] if sup & {1, 2} else [base]
         # the marked root is irrelevant to the 1-D weights; any coherent
-        # value will do
+        # value will do, and 0 is one whenever v1 and v2 are both nonzero
         return [
-            (case, a, b, rest, _marked_choices(case, a, b, rest)[0])
+            (case, a, b, _marked_choices(case, a, b, ())[0])
             for case in vcases
-            for a, b, rest in _slot_placements(masses)
+            for a, b in _slot_pairs(masses)
         ]
     if kind is not GroupKind.FULL_ENVELOPE_GROUP:
         raise ValueError(f"unknown group kind {kind!r}")
     if not sup & {1, 2}:
         # (v1, v2) = (0, 0) is preserved; only slot placements vary
-        return [(base, a, b, rest, None) for a, b, rest in _slot_placements(masses)]
+        return [(base, a, b, None) for a, b in _slot_pairs(masses)]
     marked = p.marked_mult
     others = _remove_one(masses, marked)
     other_slot = sorted({0, *others})
-    tail = [marked] if marked > 0 else []
     return (
         # marked point sent to [1:0]
-        [(base | {1}, marked, q, _remove_one(others, q), marked) for q in other_slot]
+        [(base | {1}, marked, q, marked) for q in other_slot]
         # marked point sent to [0:1]
-        + [(base | {2}, q, marked, _remove_one(others, q), marked) for q in other_slot]
+        + [(base | {2}, q, marked, marked) for q in other_slot]
         # marked point kept generic: slots take non-marked roots
-        + [
-            (base | {1, 2}, a, b, rest + tail, marked)
-            for a, b, rest in _slot_placements(others)
-        ]
+        + [(base | {1, 2}, a, b, marked) for a, b in _slot_pairs(others)]
     )
 
 
 def moves_for(kind: GroupKind, p: EnvPoint) -> GroupMoveSet:
-    n = p.divisor.n
+    d = p.divisor
+    masses = list(d.all_mults())
+    # a move keeps the point's roots: generic ones are all but the slot masses
     return GroupMoveSet(
         kind,
         tuple(
-            EnvPoint(sup, Divisor(n, a, b, tuple(generic)), marked)
-            for sup, a, b, generic, marked in _placements(kind, p)
+            EnvPoint(sup, Divisor(d.n, a, b, _remove_one(_remove_one(masses, a), b)), marked)
+            for sup, a, b, marked in _placements(kind, p)
         ),
     )
 
@@ -192,28 +185,39 @@ def _class_worst(kind: GroupKind, p: EnvPoint, lin: LinParam | None, seen: dict)
     """Worst status over the placements kind reaches from p: the one
     placement scorer of this module.
 
-    UnipotentEnvelope placements are scored by _unipotent_case and need no
-    linearisation; every other group's by _torus_case at lin.  The
-    UnipotentEnvelope and FullEnvelopeGroup results are kept in seen per
-    placement class, (v_support, sorted root masses) plus marked_mult for
-    FullEnvelopeGroup, exactly what _placements reads for those groups.
-    seen must serve one linearisation only; {} scores a single point.
+    seen is one report's status table, for one degree and one linearisation
+    ({} scores a single point).  It keys each placement's status by
+    (unipotent, v_support, mult_inf, mult_zero), the flag naming the scorer,
+    and each UnipotentEnvelope or FullEnvelopeGroup class's worst case by
+    (unipotent, v_support, sorted root masses, marked_mult or None).  The
+    scan stops at the first Unstable placement: nothing is worse, and
+    neither scorer raises, so the placements it skips change nothing.
     """
     d = p.divisor
-    cached = kind in (GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP)
+    unipotent = kind is GroupKind.UNIPOTENT_ENVELOPE
+    cached = unipotent or kind is GroupKind.FULL_ENVELOPE_GROUP
     if cached:
-        marked = p.marked_mult if kind is GroupKind.FULL_ENVELOPE_GROUP else None
-        key = (kind, p.v_support, tuple(sorted(d.all_mults())), marked)
+        marked = None if unipotent else p.marked_mult
+        key = (unipotent, p.v_support, tuple(sorted(d.all_mults())), marked)
         if key in seen:
             return seen[key]
     placements = _placements(kind, p)
-    if kind is GroupKind.UNIPOTENT_ENVELOPE:
-        status = min(_unipotent_case(sup, a, b, d.n) for sup, a, b, _, _ in placements)
+    if unipotent:
+        score, args = _unipotent_case, (d.n,)
     elif lin is None:
         raise ValueError(f"{kind.value} placements require a linearisation")
     else:
-        m, r = lin.m, lin.r
-        status = min(_torus_case(sup, a, b, d.n, m, r) for sup, a, b, _, _ in placements)
+        score, args = _torus_case, (d.n, lin.m, lin.r)
+    status = Status.STABLE
+    for sup, a, b, _ in placements:
+        placement = (unipotent, sup, a, b)
+        got = seen.get(placement)
+        if got is None:
+            got = seen[placement] = score(sup, a, b, *args)
+        if got < status:
+            status = got
+            if got is Status.UNSTABLE:
+                break
     if cached:
         seen[key] = status
     return status

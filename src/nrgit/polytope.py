@@ -273,7 +273,9 @@ def _integer_weights(points: tuple[Weight2, ...]) -> list[tuple[int, int, int, i
     # Scale by the LCM of every denominator: a positive dilation never moves
     # the origin across the hull boundary.
     rows = [_row(p) for p in points]
-    scale = math.lcm(*(c.denominator for row in rows for c in row))
+    if all(type(c) is int for row in rows for c in row):
+        return rows  # every denominator is 1
+    scale =math.lcm(*(c.denominator for row in rows for c in row))
     return [
         tuple(c.numerator * (scale // c.denominator) for c in row)
         for row in rows

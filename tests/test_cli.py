@@ -264,6 +264,40 @@ class TestLeanStartup:
         assert hashlib.sha256(svg.encode()).hexdigest() == self.SVG_SHA256
 
 
+class TestDegreeCeiling:
+    # the commands whose output grows with n answer up to n = 100000; one
+    # past it is a usage error that names the ceiling, before any work
+    ARGS = {
+        "flips": ("--tau", "2"),
+        "weights": (),
+        "walls": (),
+        "diagram": (),
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_ceiling_answers(self, capsys, command):
+        code, out, err = run(capsys, command, "--n", "100000", *self.ARGS[command])
+        assert code == 0, err
+        head = "<?xml" if command == "diagram" else f"command: {command}\n"
+        assert out.startswith(head)
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_one_past_the_ceiling_exits_two(self, capsys, command):
+        # tau = 1 is an interior wall of degree 100001: only the ceiling refuses
+        rest = ("--tau", "1") if command == "flips" else ()
+        code, out, err = run(capsys, command, "--n", "100001", *rest)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the ceiling 100000" in err
+
+    def test_classify_and_census_keep_their_own_limits(self, capsys):
+        code, _, err = run(capsys, "classify", "--n", "100001", "--profile", "inf=100001")
+        assert code == 0, err
+        code, _, err = run(capsys, "census", "--n", "100001")
+        assert code == 2
+        assert "guard" in err
+
+
 class TestHarness:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

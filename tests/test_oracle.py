@@ -1,6 +1,8 @@
 """Brute-force placement oracles and the census diff harness."""
 
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -282,3 +284,60 @@ class TestDiffReport:
         assert any("borel" in row.check for row in rep.rows)
         subjects = {row.subject for row in rep.rows}
         assert any(str(d) in subjects for d in enumerate_profiles(3))
+
+
+class TestPlacementTable:
+    # SHA-256 per degree of every moves_for(kind, p) repr, or its ValueError
+    # text, one line each, over enumerate_env_points(n) and GroupKind in order;
+    # recorded before the placements stopped carrying their generic roots
+    MOVES_SHA256 = {
+        1: "b278bb47d18fff968bc933eb0f6dd3be39945584095a2c8268aa628216f87e32",
+        2: "71afb442f7cf26385566fa4ea3573b5c14eb0f9565ef0ba2985e108f828aa381",
+        3: "56b1c5504bca415ee5bf9a861f64f075f9e094de217f8e5314d65dba7aa615f8",
+        4: "9cb36dc4a7b1e31860b1053f3f58438780285d0a604aeb8ed050beaa8140bc72",
+        5: "6210d7e36f6bca04972a3649fcd495caf325b21fcdc87d5d628d85f047e2a0fc",
+        6: "2df4d2d3c76eaebf3b0066cb031b6b01ac3752f245987a0f7199daff4bf1e380",
+    }
+
+    @pytest.mark.parametrize("n", sorted(MOVES_SHA256))
+    def test_moves_for_pinned(self, n):
+        digest = hashlib.sha256()
+        for p in enumerate_env_points(n):
+            for kind in GroupKind:
+                try:
+                    line = repr(moves_for(kind, p))
+                except ValueError as exc:
+                    line = f"ValueError: {exc}"
+                digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == self.MOVES_SHA256[n]
+
+    def test_moves_keep_the_root_masses(self):
+        # a move's generic roots are the point's root masses less its two
+        # slot masses: the multiset of all root masses is unchanged
+        for n in range(1, 7):
+            for p in enumerate_env_points(n):
+                masses = sorted(p.divisor.all_mults())
+                for kind in GroupKind:
+                    try:
+                        moves = moves_for(kind, p).moves
+                    except ValueError:
+                        continue
+                    for q in moves:
+                        assert sorted(q.divisor.all_mults()) == masses, (str(p), kind, str(q))
+
+    def test_each_distinct_placement_is_scored_once(self, monkeypatch):
+        import nrgit.oracle as oracle
+
+        calls = {"_torus_case": Counter(), "_unipotent_case": Counter()}
+        for name, counter in calls.items():
+            real = getattr(oracle, name)
+
+            def counted(*args, real=real, counter=counter):
+                counter[args] += 1
+                return real(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        assert diff_report(4, LinParam(1, 2)).ok
+        for name, counter in calls.items():
+            assert counter, name
+            assert max(counter.values()) == 1, (name, counter.most_common(3))
