@@ -396,15 +396,16 @@ def cmd_diagram(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
+# argparse names the type function in a usage error ("invalid degree value")
+def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
 
 
-def _bounded_degree(text: str, ceiling: int = 100_000) -> int:
-    value = _positive_int(text)
+def degree(text: str, ceiling: int = 100_000) -> int:
+    value = positive_int(text)
     if value > ceiling:
         raise argparse.ArgumentTypeError(f"degree {value} exceeds the ceiling {ceiling}")
     return value
@@ -418,15 +419,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p, with_lin=True, degree=_bounded_degree):
-        p.add_argument("--n", type=degree, required=True, help="degree")
+    def add_common(p, with_lin=True, n_type=degree):
+        p.add_argument("--n", type=n_type, required=True, help="degree")
         if with_lin:
-            p.add_argument("--m", type=_positive_int, default=1, help="tensor power m > 0")
+            p.add_argument("--m", type=positive_int, default=1, help="tensor power m > 0")
             p.add_argument("--r", type=int, default=0, help="twist r")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("classify", help="classify one configuration")
-    add_common(p, degree=_positive_int)
+    add_common(p, n_type=positive_int)
     p.add_argument(
         "--profile",
         default="",
@@ -448,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flips)
 
     p = sub.add_parser("census", help="verify closed forms against brute force")
-    add_common(p, degree=_positive_int)  # diff_report applies the census guard
+    add_common(p, n_type=positive_int)  # diff_report applies the census guard
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("diagram", help="SVG weight diagram")

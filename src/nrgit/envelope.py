@@ -33,18 +33,14 @@ from .polytope import (
     WeightSet,
     _Record,
     _eventual_sign,
-    _integer_weights,
     _locate,
     contains_origin,  # not called here; perfbench's tracer test wraps this binding
     weight2,
 )
 
-# T1 x T2 weights of the three v-coordinates under the rank-2 torus
-E_WEIGHTS = {
-    0: weight2(0, 0),
-    1: weight2(1, -1),
-    2: weight2(-1, -1),
-}
+# T1 x T2 weights (e_x, e_y) of the three v-coordinates under the rank-2 torus
+_E = {0: (0, 0), 1: (1, -1), 2: (-1, -1)}
+E_WEIGHTS = {j: weight2(*e) for j, e in _E.items()}
 
 _V_LABELS = {0: "[1:0:0]", 1: "[0:1:0]", 2: "[0:0:1]"}
 
@@ -119,14 +115,17 @@ def embed_divisor(d: Divisor) -> EnvPoint:
     return EnvPoint({0, 1}, d, d.mult_inf)
 
 
-def _fixed_weight(j: int, i: int, params: EnvParams) -> Weight2:
-    # weight of ([e_j], [x^(n-i) y^i]): (N*e_j.x + m(2i - n), N*e_j.y + r),
-    # built directly since e_j is constant
-    e = E_WEIGHTS[j]
-    return Weight2(
-        AffineN(e.x.const, params.lin.m * (2 * i - params.n)),
-        AffineN(e.y.const, params.lin.r),
-    )
+def _fixed_row(j: int, i: int, n: int, m: int, r: int) -> tuple[int, int, int, int]:
+    # the one fixed-point weight formula: ([e_j], [x^(n-i) y^i]) has weight
+    # (N*e_x + m(2i - n), N*e_y + r), as its integer row (a_x, b_x, a_y, b_y)
+    e_x, e_y = _E[j]
+    return (e_x, m * (2 * i - n), e_y, r)
+
+
+def _weight(row: tuple) -> Weight2:
+    # a row as the Weight2 of the public API
+    a_x, b_x, a_y, b_y = row
+    return Weight2(AffineN(a_x, b_x), AffineN(a_y, b_y))
 
 
 def fixed_point_weights(params: EnvParams) -> list[tuple[str, int, Weight2]]:
@@ -136,10 +135,11 @@ def fixed_point_weights(params: EnvParams) -> list[tuple[str, int, Weight2]]:
     v = [0:1:0] row (N + m(2i-n), -N + r), the v = [0:0:1] row
     (-N + m(2i-n), -N + r).
     """
+    n, m, r = params.n, params.lin.m, params.lin.r
     return [
-        (_V_LABELS[j], i, _fixed_weight(j, i, params))
+        (_V_LABELS[j], i, _weight(_fixed_row(j, i, n, m, r)))
         for j in (0, 1, 2)
-        for i in range(params.n + 1)
+        for i in range(n + 1)
     ]
 
 
@@ -150,20 +150,25 @@ def point_polytope(p: EnvPoint, params: EnvParams) -> WeightSet:
     The monomial support of the configuration runs over i in
     [mult_inf, n - mult_zero].  Only the two endpoints of that interval are
     emitted: the monomials between them lie on the segment joining the
-    endpoint weights, so the hull is unchanged.  At most six weights result.
+    endpoint weights, so the hull is unchanged: at most six weights, the
+    rows of p's polytope class (_class_rows) as Weight2s.
     """
-    d = p.divisor
-    _check_degree(d, params.n)
-    return WeightSet(
-        _fixed_weight(j, i, params)
-        for j in sorted(p.v_support)
-        for i in sorted({d.mult_inf, params.n - d.mult_zero})
-    )
+    _check_degree(p.divisor, params.n)
+    rows = _class_rows(_polytope_class(p), params.n, params.lin.m, params.lin.r)
+    return WeightSet(map(_weight, rows))
 
 
 def _polytope_class(p: EnvPoint) -> tuple:
-    # all that point_polytope and _torus_case read of a point
+    # all that _class_rows and _torus_case read of a point
     return (p.v_support, p.divisor.mult_inf, p.divisor.mult_zero)
+
+
+def _class_rows(key: tuple, n: int, m: int, r: int) -> list[tuple]:
+    # the weights of a polytope class: _fixed_row over its v-support and
+    # the two ends of its monomial interval
+    v_support, mult_inf, mult_zero = key
+    ends = sorted({mult_inf, n - mult_zero})
+    return [_fixed_row(j, i, n, m, r) for j in sorted(v_support) for i in ends]
 
 
 def torus_case_status(p: EnvPoint, params: EnvParams) -> Status:
@@ -250,7 +255,7 @@ def unipotent_case_status(p: EnvPoint, n: int) -> Status:
 
 def _unipotent_case(v_support, mult_inf: int, mult_zero: int, n: int) -> Status:
     # like _torus_case: the v-support and the two slot masses decide
-    alphas = sorted(E_WEIGHTS[j].x.const for j in v_support)
+    alphas = sorted(_E[j][0] for j in v_support)
     lo = _eventual_sign(0, alphas[0], 2 * mult_inf - n)
     hi = _eventual_sign(0, alphas[-1], n - 2 * mult_zero)
     return _status(lo < 0 < hi, lo <= 0 <= hi)
@@ -269,16 +274,21 @@ def unipotent_status(p: EnvPoint, n: int) -> Status:
     return classify_unipotent(p.divisor)
 
 
+_V_SUPPORTS = tuple(map(frozenset, ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2})))
+
+
 def enumerate_env_points(n: int) -> list[EnvPoint]:
     """Every coherent EnvPoint of degree n, over all profiles and v-supports."""
-    subsets = [
-        frozenset(s)
-        for s in ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2})
-    ]
+    return _env_points(_all_profiles(n))
+
+
+def _env_points(profiles) -> list[EnvPoint]:
+    # the points over these profiles, coherent by construction, so they
+    # skip EnvPoint's check
     return [
-        EnvPoint(sup, d, marked)
-        for d in _all_profiles(n)
-        for sup in subsets
+        object.__new__(EnvPoint)._set(sup, d, marked)
+        for d in profiles
+        for sup in _V_SUPPORTS
         for marked in _marked_choices(sup, d.mult_inf, d.mult_zero, d.generic)
     ]
 
@@ -350,7 +360,8 @@ def concrete_torus_case_status(p: EnvPoint, params: EnvParams, n_value) -> Statu
     Used only to study how large N must be; never feeds back into the
     symbolic predicates.  n_value must be a positive int or Fraction.
     """
-    rows = _integer_weights(point_polytope(p, params).points)
+    _check_degree(p.divisor, params.n)
+    rows = _class_rows(_polytope_class(p), params.n, params.lin.m, params.lin.r)
     return _concrete_status(rows, N.eval_at(n_value))
 
 
@@ -371,11 +382,11 @@ def n_threshold(n: int, lin: LinParam) -> int:
     mean the symbolic order is wrong somewhere and raises.  Each polytope
     class is evaluated once per N, on integer rows; the result is unchanged.
     """
-    params = EnvParams(n, lin)
-    reps = {_polytope_class(p): p for p in enumerate_env_points(n)}
+    EnvParams(n, lin)  # validates n
+    m, r = lin.m, lin.r
     classes = [
-        (_integer_weights(point_polytope(p, params).points), torus_case_status(p, params))
-        for p in reps.values()
+        (_class_rows(key, n, m, r), _torus_case(*key, n, m, r))
+        for key in dict.fromkeys(map(_polytope_class, enumerate_env_points(n)))
     ]
     n0 = 1
     while n0 <= _MAX_N0:

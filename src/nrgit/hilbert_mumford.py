@@ -148,17 +148,21 @@ class OnePS(_Record):
 
 def weight_polytope(action: TorusAction, support: PointSupport) -> WeightSet:
     """The characters carried by the supporting coordinates (hull = Delta_x)."""
+    return WeightSet(_supported(action, support))
+
+
+def _supported(action: TorusAction, support: PointSupport) -> list[Weight2]:
     n = len(action.coord_weights)
     bad = [i for i in support.indices if not 0 <= i < n]
     if bad:
         raise IndexError(f"support indices {sorted(bad)} out of range for {n} coordinates")
-    return WeightSet(action.coord_weights[i] for i in sorted(support.indices))
+    return [action.coord_weights[i] for i in sorted(support.indices)]
 
 
 def _max_pairing(action: TorusAction, support: PointSupport, lam: OnePS) -> tuple:
     # lexicographic max of the coefficient triples is the large-N max
     key = lam._key()
-    return max(_dot(_row(w), key) for w in weight_polytope(action, support))
+    return max(_dot(_row(w), key) for w in _supported(action, support))
 
 
 def mu(action: TorusAction, support: PointSupport, lam: OnePS) -> AffineN:
@@ -223,7 +227,11 @@ def witness_lambdas(S: WeightSet) -> list[OnePS]:
     for row in raw:
         key = _primitive(row)
         keys.update((key, tuple(-c for c in key)))
-    return [OnePS((AffineN(ax, bx), AffineN(ay, by))) for ax, bx, ay, by in sorted(keys)]
+    # the keys are primitive already, so OnePS's normalisation is skipped
+    return [
+        object.__new__(OnePS)._set((AffineN(ax, bx), AffineN(ay, by)))
+        for ax, bx, ay, by in sorted(keys)
+    ]
 
 
 def witness_status(action: TorusAction, support: PointSupport) -> Status:

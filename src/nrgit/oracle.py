@@ -33,7 +33,9 @@ mult_inf, mult_zero) once, and holds the worst case of each UnipotentEnvelope
 and FullEnvelopeGroup placement class (v_support, sorted root masses, plus
 marked_mult for FullEnvelopeGroup); a scan stops at its first Unstable
 placement.  The polytope engine runs once per polytope class
-(envelope._polytope_class).
+(envelope._polytope_class), on the class's integer weight rows
+(envelope._class_rows) through polytope._locate: no Weight2 or WeightSet is
+built.
 """
 
 from __future__ import annotations
@@ -51,19 +53,19 @@ from .binary_forms import (
 from .envelope import (
     EnvParams,
     EnvPoint,
+    _class_rows,
+    _env_points,
     _marked_choices,
     _polytope_class,
     _torus_case,
     _unipotent_case,
     embed_divisor,
-    enumerate_env_points,
     group_status,
-    point_polytope,
     torus_case_status,
     unipotent_status,
 )
 from .hilbert_mumford import _LOCATION_TO_STATUS, Status
-from .polytope import _Record, contains_origin
+from .polytope import _Record, _locate
 
 DEFAULT_MAX_CENSUS_N = 12
 
@@ -299,11 +301,11 @@ def diff_report(
             _sl2_placement_status(d, seen),
             classify_sl2(d),
         )
-    for p in enumerate_env_points(n):
+    for p in _env_points(census):
         checked += 1
         key = _polytope_class(p)
         if key not in engine:
-            engine[key] = _LOCATION_TO_STATUS[contains_origin(point_polytope(p, params))]
+            engine[key] = _LOCATION_TO_STATUS[_locate(_class_rows(key, n, lin.m, lin.r))]
         record(
             "group closed form vs tied placements",
             p,

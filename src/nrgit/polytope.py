@@ -21,7 +21,6 @@ hull and reads the verdict off the signs of its edges in one pass.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from collections.abc import Iterable
@@ -59,9 +58,12 @@ class _Record:
 
     __slots__ = ()
 
-    def _set(self, *values):  # for __init__: the fields in __slots__ order
+    def _set(self, *values):
+        # the fields in __slots__ order, for __init__ or for values known
+        # valid, set on object.__new__(cls) without __init__'s checks
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+        return self
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -308,8 +310,9 @@ def contains_origin(S: WeightSet) -> OriginLocation:
     INTERIOR means the topological interior inside the ambient plane, so
     lower-dimensional hulls (segments, points) are at best BOUNDARY.
 
-    The weights are scaled to integers for _locate, the one hull body (which
-    n_threshold calls once per polytope class and N): it builds their ccw
+    The weights are scaled to integers for _locate, the one hull body, which
+    the census engine check and n_threshold call directly on the integer
+    rows of each polytope class (envelope._class_rows): it builds their ccw
     hull once, and one pass over its edges decides: outside if the origin is
     strictly right of an edge, boundary if on an edge's line, else interior.
     """
@@ -336,41 +339,3 @@ def _locate(rows: list[tuple]) -> OriginLocation:
     if 0 in signs:
         return OriginLocation.BOUNDARY
     return OriginLocation.INTERIOR
-
-
-def scaled_minkowski(
-    parts: Iterable[tuple], shift: Weight2 | tuple
-) -> WeightSet:
-    """All sums {sum_i scale_i * s_i + shift : s_i in S_i}, as a multiset.
-
-    The hull of the output is the Minkowski sum of the scaled hulls plus the
-    shift.  Scales must be nonnegative (in the AffineN order) and at most one
-    part may carry an N-linear scale, otherwise products would overflow the
-    degree-one domain.
-    """
-    if not isinstance(shift, Weight2):
-        shift = weight2(shift[0], shift[1])
-    prepared = []
-    n_linear = 0
-    for scale, part in parts:
-        scale = AffineN.of(scale)
-        if scale < ZERO:
-            raise ValueError(f"scaled_minkowski: negative scale {scale}")
-        if scale.n_coeff != 0:
-            n_linear += 1
-        if not isinstance(part, WeightSet):
-            part = WeightSet(part)
-        prepared.append((scale, part))
-    if n_linear > 1:
-        raise DegreeOverflowError(
-            "scaled_minkowski: more than one N-linear scale"
-        )
-    sums = []
-    for combo in itertools.product(*(p.points for _, p in prepared)):
-        x = shift.x
-        y = shift.y
-        for (scale, _), pt in zip(prepared, combo):
-            x = x + scale * pt.x
-            y = y + scale * pt.y
-        sums.append(Weight2(x, y))
-    return WeightSet(sums)

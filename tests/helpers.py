@@ -16,16 +16,23 @@ all real roots below ~10^7 (Cauchy bound), so the sign at N_STAR equals the
 eventual sign for large N, which is what the package computes.
 """
 
+import itertools
 from fractions import Fraction
 
 from nrgit import (
+    ZERO,
+    AffineN,
+    DegreeOverflowError,
     EnvParams,
     LinParam,
     Status,
+    Weight2,
+    WeightSet,
     concrete_torus_case_status,
     enumerate_env_points,
     torus_case_status,
     wall_values,
+    weight2,
 )
 
 N_STAR = Fraction(10**7)
@@ -148,3 +155,41 @@ def n_threshold_by_points(n, lin, max_n0=1 << 20):
             return n0
         n0 *= 2
     raise RuntimeError(f"scan exhausted at {max_n0} for n={n}, lin={lin}")
+
+
+def scaled_minkowski(parts, shift) -> WeightSet:
+    """All sums {sum_i scale_i * s_i + shift : s_i in S_i}, as a multiset.
+
+    The hull of the output is the Minkowski sum of the scaled hulls plus the
+    shift.  Scales must be nonnegative (in the AffineN order) and at most one
+    part may carry an N-linear scale, otherwise products would overflow the
+    degree-one domain.  The tests' reference for the full monomial
+    intervals that point_polytope reduces to their endpoints; it sums
+    through AffineN arithmetic, which the package's decisions never use.
+    """
+    if not isinstance(shift, Weight2):
+        shift = weight2(shift[0], shift[1])
+    prepared = []
+    n_linear = 0
+    for scale, part in parts:
+        scale = AffineN.of(scale)
+        if scale < ZERO:
+            raise ValueError(f"scaled_minkowski: negative scale {scale}")
+        if scale.n_coeff != 0:
+            n_linear += 1
+        if not isinstance(part, WeightSet):
+            part = WeightSet(part)
+        prepared.append((scale, part))
+    if n_linear > 1:
+        raise DegreeOverflowError(
+            "scaled_minkowski: more than one N-linear scale"
+        )
+    sums = []
+    for combo in itertools.product(*(p.points for _, p in prepared)):
+        x = shift.x
+        y = shift.y
+        for (scale, _), pt in zip(prepared, combo):
+            x = x + scale * pt.x
+            y = y + scale * pt.y
+        sums.append(Weight2(x, y))
+    return WeightSet(sums)

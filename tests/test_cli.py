@@ -298,6 +298,22 @@ class TestDegreeCeiling:
         assert "guard" in err
 
 
+class TestUsageErrors:
+    # argparse names an option's type function in the message, so that name
+    # is what a user reads
+    @pytest.mark.parametrize("argv, message", [
+        (("flips", "--n", "abc", "--tau", "2"), "argument --n: invalid degree value: 'abc'"),
+        (("weights", "--n", "3", "--m", "x"), "argument --m: invalid positive_int value: 'x'"),
+        (("census", "--n", "x"), "argument --n: invalid positive_int value: 'x'"),
+    ])
+    def test_invalid_value_names_the_expected_type(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "invalid _" not in err
+
+
 class TestHarness:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

@@ -27,7 +27,6 @@ from nrgit import (
     group_status,
     n_threshold,
     point_polytope,
-    scaled_minkowski,
     strong_envelope_report,
     torus_case_status,
     torus_status,
@@ -36,9 +35,13 @@ from nrgit import (
     weight2,
 )
 
+from nrgit.envelope import _class_rows, _polytope_class
 from nrgit.hilbert_mumford import _LOCATION_TO_STATUS
+from nrgit.polytope import _integer_weights
 
-from helpers import hull_polygon, lin_for, n_threshold_by_points, N_STAR
+from helpers import (
+    hull_polygon, lin_for, n_threshold_by_points, N_STAR, scaled_minkowski, tau_grid,
+)
 
 E_BY_LABEL = {"[1:0:0]": (0, 0), "[0:1:0]": (1, -1), "[0:0:1]": (-1, -1)}
 
@@ -156,6 +159,31 @@ class TestPointPolytope:
         xs = sorted(w.x for w in pts)
         assert xs[0] == AffineN(0, -n * m)
         assert xs[-1] == AffineN(0, n * m)
+
+    def test_class_rows_are_the_rows_of_every_point_polytope(self):
+        # the engine decides on _class_rows; they must be the integer rows of
+        # point_polytope and of the weight formula, and the points
+        # enumerate_env_points builds without EnvPoint's coherence check
+        # must pass it
+        e_rows = [E_BY_LABEL[label] for label in ("[1:0:0]", "[0:1:0]", "[0:0:1]")]
+        for n in range(1, 9):
+            points = enumerate_env_points(n)
+            for p in points:
+                assert p == EnvPoint(p.v_support, p.divisor, p.marked_mult)
+            for tau in tau_grid(n):
+                lin = lin_for(tau)
+                m, r = lin.m, lin.r
+                params = EnvParams(n, lin)
+                for p in points:
+                    d = p.divisor
+                    formula = [
+                        (e_rows[j][0], m * (2 * i - n), e_rows[j][1], r)
+                        for j in sorted(p.v_support)
+                        for i in sorted({d.mult_inf, n - d.mult_zero})
+                    ]
+                    got = _class_rows(_polytope_class(p), n, m, r)
+                    assert got == _integer_weights(point_polytope(p, params).points), (p, tau)
+                    assert got == formula, (p, tau)
 
     def test_degree_mismatch_rejected(self):
         p = EnvPoint({0}, Divisor(3, 0, 0, (3,)))

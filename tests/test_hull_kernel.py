@@ -24,12 +24,11 @@ from nrgit import (
     contains_origin,
     enumerate_env_points,
     point_polytope,
-    scaled_minkowski,
     unipotent_case_status,
     weight2,
 )
 
-from helpers import N_STAR, lin_for, oracle_location, tau_grid
+from helpers import N_STAR, lin_for, oracle_location, scaled_minkowski, tau_grid
 
 OUT = OriginLocation.OUTSIDE
 BND = OriginLocation.BOUNDARY

@@ -26,7 +26,6 @@ from nrgit import (
     group_status,
     moves_for,
     partition_count,
-    point_polytope,
     torus_case_status,
     unipotent_case_status,
     worst_case_status,
@@ -244,27 +243,26 @@ class TestDiffReport:
         # the polytope engine runs once per polytope class, but a wrong
         # verdict must name every point of the class
         import nrgit.oracle as oracle
-        from nrgit.envelope import _polytope_class
+        from nrgit.envelope import _class_rows, _polytope_class
 
         n, lin = 3, LinParam(1, 1)
-        params = EnvParams(n, lin)
         classes = {}
         for p in enumerate_env_points(n):
             classes.setdefault(_polytope_class(p), []).append(p)
         members = max(classes.values(), key=len)
         assert len(members) > 1
-        bad = point_polytope(members[0], params)
-        real = oracle.contains_origin
+        bad = _class_rows(_polytope_class(members[0]), n, lin.m, lin.r)
+        real = oracle._locate
 
-        def mislocate(S):
-            got = real(S)
-            if S != bad:
+        def mislocate(rows):
+            got = real(rows)
+            if rows != bad:
                 return got
             if got is OriginLocation.OUTSIDE:
                 return OriginLocation.INTERIOR
             return OriginLocation.OUTSIDE
 
-        monkeypatch.setattr(oracle, "contains_origin", mislocate)
+        monkeypatch.setattr(oracle, "_locate", mislocate)
         rep = diff_report(n, lin)
         assert [row.subject for row in rep.rows] == [str(p) for p in members]
         assert {row.check for row in rep.rows} == {"torus case list vs polytope engine"}

@@ -22,12 +22,11 @@ from nrgit import (
     enumerate_env_points,
     fixed_point_weights,
     point_polytope,
-    scaled_minkowski,
     weight2,
     witness_lambdas,
 )
 
-from helpers import hull_polygon, oracle_location
+from helpers import hull_polygon, oracle_location, scaled_minkowski
 
 rationals = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30), max_denominator=6
