@@ -16,8 +16,7 @@ Placement rules per group:
   FullEnvelopeGroup  moves tied to the marked point [v1:v2]: it can be sent
                      to [1:0] (carrying its mass there), to [0:1], or kept
                      generic, and independently any non-marked roots can
-                     occupy the remaining slots; v0 and the vanishing of
-                     (v1, v2) are invariants of the action.
+                     occupy the remaining slots.
   UnipotentEnvelope  untwisted SL(2) placements with 1-D torus weights: slot
                      placements and v-cases vary independently.
 
@@ -29,11 +28,13 @@ placements, by envelope._unipotent_case for UnipotentEnvelope and
 envelope._torus_case at the linearisation otherwise, and takes the worst;
 worst_case_status, the SL(2) check and diff_report all call it.  Within one
 diff_report a status table scores each distinct (scorer, v_support,
-mult_inf, mult_zero) once, and holds the worst case of each UnipotentEnvelope
-and FullEnvelopeGroup placement class (v_support, sorted root masses, plus
-marked_mult for FullEnvelopeGroup); a scan stops at its first Unstable
-placement.  The polytope engine runs once per polytope class
-(envelope._polytope_class), on the class's integer weight rows
+mult_inf, mult_zero) once, and each envelope-group class once: the class,
+_class_key, is whether v0 is nonzero, whether (v1, v2) is, the sorted root
+masses and, for FullEnvelopeGroup, marked_mult.  Both groups keep v0 and the
+vanishing of (v1, v2) and move roots without changing their masses, so
+_placements reads nothing else of the point: the key is exact.  A scan stops
+at its first Unstable placement.  The polytope engine runs once per polytope
+class (envelope._polytope_class), on the class's integer weight rows
 (envelope._class_rows) through polytope._locate: no Weight2 or WeightSet is
 built.
 """
@@ -123,7 +124,15 @@ def _slot_pairs(masses: list[int]):
             yield a, b
 
 
-def _placements(kind: GroupKind, p: EnvPoint) -> list[tuple]:
+def _class_key(kind: GroupKind, p: EnvPoint, masses: tuple | None = None) -> tuple:
+    # p's envelope-group class (module docstring); masses: its sorted root masses
+    sup = p.v_support
+    unipotent = kind is GroupKind.UNIPOTENT_ENVELOPE
+    return (unipotent, 0 in sup, not sup.isdisjoint({1, 2}),
+            masses or tuple(sorted(p.divisor.all_mults())), None if unipotent else p.marked_mult)
+
+
+def _placements(kind: GroupKind, p: EnvPoint, key: tuple | None = None) -> list[tuple]:
     """Every placement the group reaches from p, as raw
     (v_support, mult_inf, mult_zero, marked_mult) tuples.
 
@@ -140,11 +149,12 @@ def _placements(kind: GroupKind, p: EnvPoint) -> list[tuple]:
                 f"Borel moves are defined for embedded configurations, got {p}"
             )
         return [(sup, d.mult_inf, q, d.mult_inf) for q in sorted({0, d.mult_zero, *d.generic})]
-    masses = list(d.all_mults())
-    # v0 and the vanishing of (v1, v2) are invariants of both envelope groups
-    base = sup & {0}
-    if kind is GroupKind.UNIPOTENT_ENVELOPE:
-        vcases = [base | {1}, base | {2}, base | {1, 2}] if sup & {1, 2} else [base]
+    if kind is not GroupKind.UNIPOTENT_ENVELOPE and kind is not GroupKind.FULL_ENVELOPE_GROUP:
+        raise ValueError(f"unknown group kind {kind!r}")
+    unipotent, v0, v12, masses, marked = key or _class_key(kind, p)
+    base = frozenset({0} if v0 else ())
+    if unipotent:
+        vcases = [base | {1}, base | {2}, base | {1, 2}] if v12 else [base]
         # the marked root is irrelevant to the 1-D weights; any coherent
         # value will do, and 0 is one whenever v1 and v2 are both nonzero
         return [
@@ -152,12 +162,9 @@ def _placements(kind: GroupKind, p: EnvPoint) -> list[tuple]:
             for case in vcases
             for a, b in _slot_pairs(masses)
         ]
-    if kind is not GroupKind.FULL_ENVELOPE_GROUP:
-        raise ValueError(f"unknown group kind {kind!r}")
-    if not sup & {1, 2}:
+    if not v12:
         # (v1, v2) = (0, 0) is preserved; only slot placements vary
         return [(base, a, b, None) for a, b in _slot_pairs(masses)]
-    marked = p.marked_mult
     others = _remove_one(masses, marked)
     other_slot = sorted({0, *others})
     return (
@@ -183,7 +190,8 @@ def moves_for(kind: GroupKind, p: EnvPoint) -> GroupMoveSet:
     )
 
 
-def _class_worst(kind: GroupKind, p: EnvPoint, lin: LinParam | None, seen: dict) -> Status:
+def _class_worst(kind: GroupKind, p: EnvPoint, lin: LinParam | None, seen: dict,
+                 masses: tuple | None = None) -> Status:
     """Worst status over the placements kind reaches from p: the one
     placement scorer of this module.
 
@@ -191,19 +199,19 @@ def _class_worst(kind: GroupKind, p: EnvPoint, lin: LinParam | None, seen: dict)
     ({} scores a single point).  It keys each placement's status by
     (unipotent, v_support, mult_inf, mult_zero), the flag naming the scorer,
     and each UnipotentEnvelope or FullEnvelopeGroup class's worst case by
-    (unipotent, v_support, sorted root masses, marked_mult or None).  The
-    scan stops at the first Unstable placement: nothing is worse, and
-    neither scorer raises, so the placements it skips change nothing.
+    its _class_key, p's sorted root masses being masses if given.  That key
+    is exact, since _placements reads nothing else of p.  The scan stops at
+    the first Unstable placement: nothing is worse, and neither scorer
+    raises, so the placements it skips change nothing.
     """
     d = p.divisor
     unipotent = kind is GroupKind.UNIPOTENT_ENVELOPE
-    cached = unipotent or kind is GroupKind.FULL_ENVELOPE_GROUP
-    if cached:
-        marked = None if unipotent else p.marked_mult
-        key = (unipotent, p.v_support, tuple(sorted(d.all_mults())), marked)
+    key = None
+    if unipotent or kind is GroupKind.FULL_ENVELOPE_GROUP:
+        key = _class_key(kind, p, masses)
         if key in seen:
             return seen[key]
-    placements = _placements(kind, p)
+    placements = _placements(kind, p, key)
     if unipotent:
         score, args = _unipotent_case, (d.n,)
     elif lin is None:
@@ -220,7 +228,7 @@ def _class_worst(kind: GroupKind, p: EnvPoint, lin: LinParam | None, seen: dict)
             status = got
             if got is Status.UNSTABLE:
                 break
-    if cached:
+    if key:
         seen[key] = status
     return status
 
@@ -232,10 +240,10 @@ def worst_case_status(d: Divisor, lin: LinParam | None, group: GroupKind) -> Sta
     return _class_worst(group, embed_divisor(d), lin, {})
 
 
-def _sl2_placement_status(d: Divisor, seen: dict) -> Status:
+def _sl2_placement_status(d: Divisor, seen: dict, masses: tuple | None = None) -> Status:
     # independent check for classify_sl2: the SL(2) weights 2i - n over all
     # slot placements are the UnipotentEnvelope weights at v = [1:0:0]
-    return _class_worst(GroupKind.UNIPOTENT_ENVELOPE, EnvPoint({0}, d), None, seen)
+    return _class_worst(GroupKind.UNIPOTENT_ENVELOPE, EnvPoint({0}, d), None, seen, masses)
 
 
 class DiffRow(_Record):
@@ -280,7 +288,8 @@ def diff_report(
         if expected != got:
             rows.append(DiffRow(check, str(subject), str(expected), str(got)))
 
-    for d in census:
+    masses = [tuple(sorted(d.all_mults())) for d in census]
+    for d, ms in zip(census, masses):
         checked += 1
         p = embed_divisor(d)
         record(
@@ -292,36 +301,37 @@ def diff_report(
         record(
             "unipotent closed form vs SL(2) placements",
             d,
-            _class_worst(GroupKind.UNIPOTENT_ENVELOPE, p, None, seen),
+            _class_worst(GroupKind.UNIPOTENT_ENVELOPE, p, None, seen, ms),
             classify_unipotent(d),
         )
         record(
             "sl2 closed form vs slot placements",
             d,
-            _sl2_placement_status(d, seen),
+            _sl2_placement_status(d, seen, ms),
             classify_sl2(d),
         )
-    for p in _env_points(census):
-        checked += 1
-        key = _polytope_class(p)
-        if key not in engine:
-            engine[key] = _LOCATION_TO_STATUS[_locate(_class_rows(key, n, lin.m, lin.r))]
-        record(
-            "group closed form vs tied placements",
-            p,
-            _class_worst(GroupKind.FULL_ENVELOPE_GROUP, p, lin, seen),
-            group_status(p, params),
-        )
-        record(
-            "unipotent closed form vs SL(2) placements (completion point)",
-            p,
-            _class_worst(GroupKind.UNIPOTENT_ENVELOPE, p, None, seen),
-            unipotent_status(p, n),
-        )
-        record(
-            "torus case list vs polytope engine",
-            p,
-            engine[key],
-            torus_case_status(p, params),
-        )
+    for d, ms in zip(census, masses):
+        for p in _env_points((d,)):
+            checked += 1
+            key = _polytope_class(p)
+            if key not in engine:
+                engine[key] = _LOCATION_TO_STATUS[_locate(_class_rows(key, n, lin.m, lin.r))]
+            record(
+                "group closed form vs tied placements",
+                p,
+                _class_worst(GroupKind.FULL_ENVELOPE_GROUP, p, lin, seen, ms),
+                group_status(p, params),
+            )
+            record(
+                "unipotent closed form vs SL(2) placements (completion point)",
+                p,
+                _class_worst(GroupKind.UNIPOTENT_ENVELOPE, p, None, seen, ms),
+                unipotent_status(p, n),
+            )
+            record(
+                "torus case list vs polytope engine",
+                p,
+                engine[key],
+                torus_case_status(p, params),
+            )
     return DiffReport(n, lin, checked, tuple(rows))

@@ -339,3 +339,40 @@ class TestPlacementTable:
         for name, counter in calls.items():
             assert counter, name
             assert max(counter.values()) == 1, (name, counter.most_common(3))
+
+    def test_class_key_is_all_the_envelope_placements_read(self):
+        # a report scans one point per class key, so every point with that
+        # key must reach the same placements; and the key holds exactly the
+        # group's invariants, v0 and the vanishing of (v1, v2), with the
+        # sorted root masses and, for FullEnvelopeGroup, the marked root
+        from nrgit.oracle import _class_key, _placements
+
+        for n in range(1, 8):
+            for kind in (GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP):
+                placements, keys = {}, {}
+                for p in enumerate_env_points(n):
+                    sup, masses = p.v_support, tuple(sorted(p.divisor.all_mults()))
+                    key = _class_key(kind, p, masses)
+                    want = placements.setdefault(key, _placements(kind, p))
+                    assert _placements(kind, p) == want, (str(p), kind)
+                    marked = p.marked_mult if kind is GroupKind.FULL_ENVELOPE_GROUP else None
+                    invariants = (0 in sup, bool(sup & {1, 2}), masses, marked)
+                    assert keys.setdefault(invariants, key) == key, (str(p), kind)
+                # and distinct invariants never share a key
+                assert len(set(keys.values())) == len(keys), (n, kind)
+
+    def test_each_placement_class_is_enumerated_once(self, monkeypatch):
+        import nrgit.oracle as oracle
+
+        calls = Counter()
+        real = oracle._placements
+
+        def counted(kind, p, key=None):
+            calls[kind, key or p] += 1
+            return real(kind, p, key)
+
+        monkeypatch.setattr(oracle, "_placements", counted)
+        assert diff_report(4, LinParam(1, 2)).ok
+        # 138 enumerations when a class was keyed by the whole v-support
+        assert sum(calls.values()) == 70
+        assert max(calls.values()) == 1, calls.most_common(3)

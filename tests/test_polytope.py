@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nrgit import (
@@ -107,26 +107,17 @@ class TestAffineN:
 
     @given(affines, affines)
     @settings(max_examples=150)
+    # a - b = -N/6 + 43 turns sign at N = 258, past a doubling scan's reach
+    @example(AffineN(Fraction(-51, 2), Fraction(51, 2)), AffineN(Fraction(-76, 3), Fraction(-35, 2)))
     def test_order_is_eventual_evaluation_order(self, a, b):
-        # scan doublings of N until the sign of (a - b) stops changing, then
-        # it must match the symbolic comparison forever after
+        # a - b = c*N + const has the sign of c at every N > |const / c|, and
+        # of const at every N when c = 0: that must be the symbolic comparison
         want = cmp(a, b)
-
-        def sign(x):
-            return (x > 0) - (x < 0)
-
-        n_value = Fraction(1)
-        last = sign((a - b).eval_at(n_value))
-        stable_runs = 0
-        for _ in range(60):
-            n_value *= 2
-            cur = sign((a - b).eval_at(n_value))
-            stable_runs = stable_runs + 1 if cur == last else 0
-            last = cur
-            if stable_runs >= 8:
-                break
-        assert last == want
-        assert sign((a - b).eval_at(n_value * 16)) == want
+        diff = a - b
+        root = abs(Fraction(diff.const) / diff.n_coeff) if diff.n_coeff else 0
+        for n_value in (root + Fraction(1, 1000), root + 1, 16 * root + 2**64):
+            value = diff.eval_at(n_value)
+            assert (value > 0) - (value < 0) == want, n_value
 
 
 class TestExactRepresentation:
