@@ -187,20 +187,19 @@ def _profile_payload(profile) -> dict:
 
 def cmd_walls(args) -> int:
     segments = []
+    # at a fixed n, chamber_profile depends on the segment's kind alone
+    profiles = {}
     for seg in walls(args.n):
         if seg.kind is WallKind.CHAMBER:
             lo, hi = seg.value
-            key, shown, tau = "interval", [str(lo), str(hi)], (lo + hi) / 2
+            key, shown = "interval", [str(lo), str(hi)]
         else:
-            key, shown, tau = "value", str(seg.value), seg.value
+            key, shown = "value", str(seg.value)
+        if seg.kind not in profiles:
+            tau = (lo + hi) / 2 if seg.kind is WallKind.CHAMBER else seg.value
+            profiles[seg.kind] = _profile_payload(chamber_profile(args.n, tau))
         # text output prints the keys in insertion order
-        segments.append(
-            {
-                "kind": seg.kind.value,
-                key: shown,
-                "profile": _profile_payload(chamber_profile(args.n, tau)),
-            }
-        )
+        segments.append({"kind": seg.kind.value, key: shown, "profile": profiles[seg.kind]})
     notes = [
         "walls sit at tau = 0, tau = n, and the interior slopes with "
         "n - tau even; classification is constant on each open chamber",
@@ -411,13 +410,18 @@ def degree(text: str, ceiling: int = 100_000) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The nrgit parser: with `command` naming a subcommand, only its subparser.
+
+    argparse hands every token after the command to that subparser, so the
+    other commands show only in the top-level usage line, which the metavar
+    keeps.  Any other `command` (None, an option, a typo) gets all six.
+    """
     parser = argparse.ArgumentParser(
         prog="nrgit",
         description="Exact stability computations for n points on the "
         "projective line under the Borel subgroup of SL(2).",
     )
-    sub = parser.add_subparsers(dest="cmd", required=True)
 
     def add_common(p, with_lin=True, n_type=degree):
         p.add_argument("--n", type=n_type, required=True, help="degree")
@@ -426,43 +430,45 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--r", type=int, default=0, help="twist r")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("classify", help="classify one configuration")
-    add_common(p, n_type=positive_int)
-    p.add_argument(
-        "--profile",
-        default="",
-        help="configuration as inf=<k>,zero=<k>,roots=<k1+k2+...>",
-    )
-    p.set_defaults(func=cmd_classify)
+    def classify_args(p):
+        add_common(p, n_type=positive_int)
+        p.add_argument("--profile", default="",
+                       help="configuration as inf=<k>,zero=<k>,roots=<k1+k2+...>")
 
-    p = sub.add_parser("weights", help="fixed-point weight table")
-    add_common(p)
-    p.set_defaults(func=cmd_weights)
+    def flips_args(p):
+        add_common(p, with_lin=False)
+        p.add_argument("--tau", required=True, help="interior wall slope (rational)")
 
-    p = sub.add_parser("walls", help="wall and chamber report")
-    add_common(p, with_lin=False)
-    p.set_defaults(func=cmd_walls)
+    def diagram_args(p):
+        add_common(p)
+        p.add_argument("--N", default="10", help="display value for N (rendering only)")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("flips", help="flip data at an interior wall")
-    add_common(p, with_lin=False)
-    p.add_argument("--tau", required=True, help="interior wall slope (rational)")
-    p.set_defaults(func=cmd_flips)
-
-    p = sub.add_parser("census", help="verify closed forms against brute force")
-    add_common(p, n_type=positive_int)  # diff_report applies the census guard
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("diagram", help="SVG weight diagram")
-    add_common(p)
-    p.add_argument("--N", default="10", help="display value for N (rendering only)")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(func=cmd_diagram)
-
+    # (name, help, argument adder, handler), in the order `nrgit -h` lists them
+    commands = [
+        ("classify", "classify one configuration", classify_args, cmd_classify),
+        ("weights", "fixed-point weight table", add_common, cmd_weights),
+        ("walls", "wall and chamber report", lambda p: add_common(p, with_lin=False), cmd_walls),
+        ("flips", "flip data at an interior wall", flips_args, cmd_flips),
+        # diff_report applies the census guard
+        ("census", "verify closed forms against brute force",
+         lambda p: add_common(p, n_type=positive_int), cmd_census),
+        ("diagram", "SVG weight diagram", diagram_args, cmd_diagram),
+    ]
+    picked = [row for row in commands if row[0] == command]
+    # set with one command only: bare `nrgit` must still say "required: cmd"
+    metavar = {"metavar": "{%s}" % ",".join(row[0] for row in commands)} if picked else {}
+    sub = parser.add_subparsers(dest="cmd", required=True, **metavar)
+    for name, help_text, add_arguments, handler in picked or commands:
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

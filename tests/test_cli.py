@@ -337,3 +337,58 @@ class TestHarness:
         ):
             doc = run_json(capsys, *argv)
             assert set(doc) == {"command", "inputs", "notes", "result"}
+
+
+COMMANDS = ("classify", "weights", "walls", "flips", "census", "diagram")
+# argv on which main must answer alike with the one-command parser and the
+# full one: help at both levels, usage errors at both levels, and answers
+PARSER_CORPUS = [
+    (), ("-h",), ("--help",), ("-h", "census"),
+    ("frobnicate",), ("cens",),
+    ("--bogus", "census", "--n", "4"), ("census", "--n", "4", "--bogus"),
+    ("census", "--n", "4", "walls"),
+    *((command, *tail) for command in COMMANDS for tail in ((), ("-h",), ("--help",))),
+    ("flips", "--n", "6"), ("walls", "--n", "x"), ("weights", "--n", "3", "--m", "0"),
+    ("classify", "--n", "3", "--format", "xml"), ("walls", "--n=3"),
+    ("walls", "--n", "3", "--fo", "json"), ("census", "--n", "13"),
+]
+
+
+class TestParserPerCommand:
+    @pytest.mark.parametrize("columns", ("40", "80", "200"))
+    def test_main_answers_as_with_the_full_parser(self, capsys, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        one = [run(capsys, *argv) for argv in PARSER_CORPUS]
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        for argv, answer in zip(PARSER_CORPUS, one):
+            assert run(capsys, *argv) == answer, argv
+
+    def test_bare_nrgit_names_the_missing_command(self, capsys):
+        # the full parser keeps argparse's own metavar for this message
+        code, out, err = run(capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: the following arguments are required: cmd\n")
+
+    def test_main_builds_the_named_command_only(self, capsys, monkeypatch):
+        built = []
+        full = cli.build_parser
+
+        def spy(command=None):
+            built.append(command)
+            return full(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        assert run(capsys, "walls", "--n", "3")[0] == 0
+        assert built == ["walls"]
+
+    @pytest.mark.parametrize("columns", ("40", "80", "200"))
+    def test_named_command_parser_refuses_the_others(self, capsys, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        parser = cli.build_parser("census")
+        assert parser.parse_args(["census", "--n", "3"]).func is cli.cmd_census
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["walls", "--n", "3"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'walls'" in capsys.readouterr().err
+        assert parser.format_usage() == cli.build_parser().format_usage()
