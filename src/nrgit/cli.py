@@ -30,6 +30,8 @@ from .binary_forms import (
 )
 from .envelope import (
     EnvParams,
+    _V_LABELS,
+    _fixed_row,
     embed_divisor,
     fixed_point_weights,
     group_status,
@@ -276,12 +278,13 @@ def cmd_census(args) -> int:
 
 
 def _diagram_svg(n: int, m: int, r: int, n_display: Fraction) -> str:
-    import xml.etree.ElementTree as ET  # only the diagram needs it: off start-up
-
-    params = EnvParams(n, LinParam(m, r))
+    EnvParams(n, LinParam(m, r))  # validates n
+    # the integer rows at N, in ints when N is integral
+    n_value = n_display.numerator if n_display.denominator == 1 else n_display
     points = [
-        (label, w.x.eval_at(n_display), w.y.eval_at(n_display))
-        for label, _, w in fixed_point_weights(params)
+        (_V_LABELS[j], a_x * n_value + b_x, a_y * n_value + b_y)
+        for j in (0, 1, 2)
+        for a_x, b_x, a_y, b_y in (_fixed_row(j, i, n, m, r) for i in range(n + 1))
     ]
     scale = 20
     # the SVG is the only float: refuse when its width or height, at most
@@ -307,78 +310,31 @@ def _diagram_svg(n: int, m: int, r: int, n_display: Fraction) -> str:
     def sy(y):
         return round((hi_y - y) * scale, 2)
 
-    svg = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": str(round(width, 2)),
-            "height": str(round(height, 2)),
-            "viewBox": f"0 0 {round(width, 2)} {round(height, 2)}",
-        },
-    )
-    ET.SubElement(
-        svg,
-        "line",
-        {
-            "x1": str(sx(lo_x)),
-            "y1": str(sy(0)),
-            "x2": str(sx(hi_x)),
-            "y2": str(sy(0)),
-            "stroke": "#888",
-            "stroke-width": "1",
-        },
-    )
-    ET.SubElement(
-        svg,
-        "line",
-        {
-            "x1": str(sx(0)),
-            "y1": str(sy(lo_y)),
-            "x2": str(sx(0)),
-            "y2": str(sy(hi_y)),
-            "stroke": "#888",
-            "stroke-width": "1",
-        },
-    )
-    axis_x = ET.SubElement(
-        svg,
-        "text",
-        {"x": str(sx(hi_x) - 80), "y": str(sy(0) - 6), "font-size": "12"},
-    )
-    axis_x.text = "T1-weight"
-    axis_y = ET.SubElement(
-        svg,
-        "text",
-        {"x": str(sx(0) + 6), "y": str(sy(hi_y) + 14), "font-size": "12"},
-    )
-    axis_y.text = "T2-weight"
+    # the bytes xml.etree.ElementTree.tostring wrote for the same elements:
+    # attributes in this order, " />" on empty elements, and nothing here
+    # that needs escaping
+    w, h = round(width, 2), round(height, 2)
+    axis = 'stroke="#888" stroke-width="1" />'
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
+        f'<line x1="{sx(lo_x)}" y1="{sy(0)}" x2="{sx(hi_x)}" y2="{sy(0)}" {axis}',
+        f'<line x1="{sx(0)}" y1="{sy(lo_y)}" x2="{sx(0)}" y2="{sy(hi_y)}" {axis}',
+        f'<text x="{sx(hi_x) - 80}" y="{sy(0) - 6}" font-size="12">T1-weight</text>',
+        f'<text x="{sx(0) + 6}" y="{sy(hi_y) + 14}" font-size="12">T2-weight</text>',
+    ]
     colors = {"[1:0:0]": "#1f6f43", "[0:1:0]": "#274fa8", "[0:0:1]": "#a03232"}
     for label in sorted(families):
-        for x, y in families[label]:
-            ET.SubElement(
-                svg,
-                "circle",
-                {
-                    "cx": str(sx(x)),
-                    "cy": str(sy(y)),
-                    "r": "4",
-                    "fill": colors[label],
-                },
-            )
+        fill = colors[label]
+        parts += [
+            f'<circle cx="{sx(x)}" cy="{sy(y)}" r="4" fill="{fill}" />'
+            for x, y in families[label]
+        ]
         lx, ly = families[label][0]
-        tag = ET.SubElement(
-            svg,
-            "text",
-            {
-                "x": str(sx(lx) - 10),
-                "y": str(sy(ly) + 18),
-                "font-size": "11",
-                "fill": colors[label],
-            },
+        parts.append(
+            f'<text x="{sx(lx) - 10}" y="{sy(ly) + 18}" font-size="11" fill="{fill}">{label}</text>'
         )
-        tag.text = label
-    body = ET.tostring(svg, encoding="unicode")
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
+    parts.append("</svg>")
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + "".join(parts) + "\n"
 
 
 def cmd_diagram(args) -> int:

@@ -33,7 +33,7 @@ from .polytope import (
     WeightSet,
     _Record,
     _eventual_sign,
-    _locate,
+    _locate_points,
     contains_origin,  # not called here; perfbench's tracer test wraps this binding
     weight2,
 )
@@ -368,8 +368,8 @@ def concrete_torus_case_status(p: EnvPoint, params: EnvParams, n_value) -> Statu
 def _concrete_status(rows: list[tuple], n_value) -> Status:
     # the one concrete evaluation: rows at N = q/s > 0, scaled by s to stay integral
     q, s = n_value.numerator, n_value.denominator
-    rows = [(0, ax * q + bx * s, 0, ay * q + by * s) for ax, bx, ay, by in rows]
-    return _LOCATION_TO_STATUS[_locate(rows)]
+    points = [(ax * q + bx * s, ay * q + by * s) for ax, bx, ay, by in rows]
+    return _LOCATION_TO_STATUS[_locate_points(points)]
 
 
 _MAX_N0 = 1 << 20

@@ -7,16 +7,19 @@ arbitrarily large?  AffineN realizes that scalar domain; ints stay ints, and
 a Fraction appears only where a caller passes one in.  Every value the
 package compares, an AffineN or a product of two, is a polynomial in N of
 degree at most two, and it is ordered by its sign for all sufficiently large
-N; _eventual_sign is the one place that decides that sign.  All predicates
-are decided exactly over this ordered domain; no floating point is used
-anywhere.
+N.  _eventual_sign reads that sign off the coefficients; the hull kernel
+reads it at one value N = B certified to lie past every real root of the
+polynomials it consults (_locate).  All predicates are decided exactly over
+this ordered domain; no floating point is used anywhere.
 
 A weight is read as its row (a_x, b_x, a_y, b_y) of coefficients (_row), and
 _dot is the one large-N dot product of two rows.  contains_origin scales its
 rows once by the LCM of their denominators (a positive dilation leaves the
-origin's location unchanged) and hands the plain integers to _locate: every
-orientation is an integer quadratic in N.  _locate builds the monotone-chain
-hull and reads the verdict off the signs of its edges in one pass.
+origin's location unchanged) and hands the plain integers to _locate, which
+evaluates them at N = B.  _locate_points, the one hull body, takes plain
+integer points: it builds the monotone-chain hull and reads the verdict off
+the signs of its edges in one pass.  The concrete path
+(envelope._concrete_status) hands it the rows evaluated at a given N.
 """
 
 from __future__ import annotations
@@ -240,18 +243,6 @@ class OriginLocation(Enum):
     INTERIOR = "Interior"
 
 
-def _turn(o: tuple, p: tuple, q: tuple) -> int:
-    # eventual sign of cross(p - o, q - o) for integer weights (a_x, b_x,
-    # a_y, b_y), where a coordinate is a*N + b; positive for a left turn
-    ux1, ux0, uy1, uy0 = p[0] - o[0], p[1] - o[1], p[2] - o[2], p[3] - o[3]
-    vx1, vx0, vy1, vy0 = q[0] - o[0], q[1] - o[1], q[2] - o[2], q[3] - o[3]
-    return _eventual_sign(
-        ux1 * vy1 - uy1 * vx1,
-        ux1 * vy0 + ux0 * vy1 - uy1 * vx0 - uy0 * vx1,
-        ux0 * vy0 - uy0 * vx0,
-    )
-
-
 def _dot(p: tuple, q: tuple) -> tuple:
     # (c2, c1, c0) of the dot product of two rows, c2*N^2 + c1*N + c0
     px1, px0, py1, py0 = p
@@ -261,9 +252,6 @@ def _dot(p: tuple, q: tuple) -> tuple:
         px1 * qx0 + px0 * qx1 + py1 * qy0 + py0 * qy1,
         px0 * qx0 + py0 * qy0,
     )
-
-
-_ORIGIN = (0, 0, 0, 0)
 
 
 def _row(w: Weight2) -> tuple:
@@ -277,31 +265,11 @@ def _integer_weights(points: tuple[Weight2, ...]) -> list[tuple[int, int, int, i
     rows = [_row(p) for p in points]
     if all(type(c) is int for row in rows for c in row):
         return rows  # every denominator is 1
-    scale =math.lcm(*(c.denominator for row in rows for c in row))
+    scale = math.lcm(*(c.denominator for row in rows for c in row))
     return [
         tuple(c.numerator * (scale // c.denominator) for c in row)
         for row in rows
     ]
-
-
-def _hull(pts: list[tuple]) -> list[tuple]:
-    # Andrew's monotone chain over distinct points sorted by (x, y) in the
-    # large-N order, which is the lexicographic order of the integer tuples.
-    # Collinear points are dropped, so three or more vertices form a strictly
-    # convex counter-clockwise polygon; otherwise the hull is a point or a
-    # segment.
-    if len(pts) <= 2:
-        return pts
-
-    def chain(points):
-        out = []
-        for p in points:
-            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    return chain(pts)[:-1] + chain(reversed(pts))[:-1]
 
 
 def contains_origin(S: WeightSet) -> OriginLocation:
@@ -310,32 +278,92 @@ def contains_origin(S: WeightSet) -> OriginLocation:
     INTERIOR means the topological interior inside the ambient plane, so
     lower-dimensional hulls (segments, points) are at best BOUNDARY.
 
-    The weights are scaled to integers for _locate, the one hull body, which
-    the census engine check and n_threshold call directly on the integer
-    rows of each polytope class (envelope._class_rows): it builds their ccw
-    hull once, and one pass over its edges decides: outside if the origin is
-    strictly right of an edge, boundary if on an edge's line, else interior.
+    The weights are scaled to integers for _locate, which the census engine
+    check calls directly on the integer rows of each polytope class
+    (envelope._class_rows).  _locate evaluates the rows at its certified
+    N = B and hands the points to _locate_points, the one hull body, which
+    n_threshold reaches with the rows evaluated at a concrete N
+    (envelope._concrete_status): it builds their ccw hull once, and one pass
+    over its edges decides: outside if the origin is strictly right of an
+    edge, boundary if on an edge's line, else interior.
     """
     if not S.points:
         raise ValueError("contains_origin: empty weight set")
     return _locate(_integer_weights(S.points))
 
 
+def _certified_n(rows: list[tuple]) -> int:
+    # the N = B at which _locate reads its rows; the proof is in _locate
+    return 24 * max([abs(c) for row in rows for c in row]) ** 2 + 1
+
+
 def _locate(rows: list[tuple]) -> OriginLocation:
-    # contains_origin on nonempty integer rows (a_x, b_x, a_y, b_y)
-    hull = _hull(sorted(set(rows)))
-    if len(hull) == 1:
-        if hull[0] == _ORIGIN:
-            return OriginLocation.BOUNDARY
-        return OriginLocation.OUTSIDE
-    if len(hull) == 2:
+    """contains_origin on nonempty integer rows (a_x, b_x, a_y, b_y), for
+    every large N, decided at the one value N = B = 24*M^2 + 1 (_certified_n),
+    where M is the largest |entry| of the rows.
+
+    Why B decides as every larger N does: at N = B the rows become the
+    points (a_x*B + b_x, a_y*B + b_y), and _locate_points reads nothing of
+    them but their order, their equality with each other and with the
+    origin, and signs of cross products (p - o) x (q - o) and of one dot
+    product p . q, among the points and the origin.
+    - Order and equality.  Two rows differ in x by d1*N + d0 with integers
+      |d0| <= 2M < B, so d1*B + d0 has the sign of d1 when d1 != 0, else of
+      d0, and likewise in y.  The points at B are distinct exactly when the
+      rows are, sort in the rows' large-N order (the lexicographic order of
+      the rows), and a point is the origin exactly when its row is zero.
+    - Signs.  For rows, each such cross or dot product is an integer
+      c2*N^2 + c1*N + c0.  The differences of rows have entries of at most
+      2M, so |c2|, |c0| <= 8M^2 and |c1| <= 16M^2.  When c2 != 0, so
+      |c2| >= 1, Cauchy's bound puts every real root below 1 + 16M^2 <= B;
+      when c2 = 0 != c1, the root is -c0/c1, of size at most 8M^2 < B; a
+      constant has none.  So the sign at B is the sign at every N >= B: the
+      eventual sign that _eventual_sign reads off (c2, c1, c0).
+    The body therefore takes the same steps at N = B as at any larger N.
+    """
+    n_value = _certified_n(rows)
+    return _locate_points([(ax * n_value + bx, ay * n_value + by) for ax, bx, ay, by in rows])
+
+
+def _chain(points: list[tuple]) -> list[tuple]:
+    # half of Andrew's monotone chain over distinct sorted points: each point
+    # pops the last vertex while the two do not make a strict left turn
+    out = []
+    for p in points:
+        px, py = p
+        while len(out) >= 2:
+            (ox, oy), (ax, ay) = out[-2], out[-1]
+            if (ax - ox) * (py - oy) > (ay - oy) * (px - ox):
+                break
+            out.pop()
+        out.append(p)
+    return out
+
+
+def _locate_points(points: list[tuple]) -> OriginLocation:
+    # the one hull body: the origin against the hull of nonempty integer
+    # points (x, y); collinear points are dropped, so three or more hull
+    # vertices form a strictly convex counter-clockwise polygon
+    pts = sorted(set(points))
+    if len(pts) > 2:
+        pts = _chain(pts)[:-1] + _chain(pts[::-1])[:-1]
+    if len(pts) == 1:
+        return OriginLocation.BOUNDARY if pts[0] == (0, 0) else OriginLocation.OUTSIDE
+    if len(pts) == 2:
+        (ax, ay), (bx, by) = pts
         # on the segment: collinear with both ends, which point apart
-        if _turn(_ORIGIN, *hull) == 0 and _eventual_sign(*_dot(*hull)) <= 0:
+        if ax * by == ay * bx and ax * bx + ay * by <= 0:
             return OriginLocation.BOUNDARY
         return OriginLocation.OUTSIDE
-    signs = {_turn(_ORIGIN, a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
-    if -1 in signs:
-        return OriginLocation.OUTSIDE
-    if 0 in signs:
-        return OriginLocation.BOUNDARY
-    return OriginLocation.INTERIOR
+    # outside if the origin is strictly right of an edge, boundary if on an
+    # edge's line, else interior
+    location = OriginLocation.INTERIOR
+    ax, ay = pts[-1]
+    for bx, by in pts:
+        side = ax * by - ay * bx
+        if side < 0:
+            return OriginLocation.OUTSIDE
+        if side == 0:
+            location = OriginLocation.BOUNDARY
+        ax, ay = bx, by
+    return location

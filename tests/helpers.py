@@ -1,19 +1,26 @@
 """Independent verification oracles shared by the test modules.
 
 The geometry oracle here deliberately avoids the package's decision path:
-it evaluates every coordinate at one concrete large value of N and answers
-membership by exhaustive segment/triangle tests with Cramer determinants,
-and interiority by walking the edges of a freshly computed hull polygon.
-The package instead decides symbolically over the a*N + b domain, so an
-agreement between the two is meaningful evidence.
+it evaluates every coordinate at one concrete large value N_STAR and answers
+membership by exhaustive segment/triangle tests with Cramer determinants
+(Caratheodory), and interiority by walking the edges of a freshly computed
+hull polygon.  The package's hull kernel (polytope._locate) also decides at
+one value of N, but at its own N = B, certified per row set, and with
+Andrew's monotone chain and one pass over the hull's edges.  The two differ
+in the point at which they evaluate and in their algorithm, so an agreement
+between the two is meaningful evidence.
 
 Soundness of the concrete evaluation: every sign the oracle consults is a
-polynomial in N of degree at most 2 whose coefficients are integers (or
-fixed-denominator rationals) built from at most three multiplications of
-coordinate entries.  With coordinate constants bounded by 10^3 in absolute
-value and N-coefficients bounded by a few units, every such polynomial has
-all real roots below ~10^7 (Cauchy bound), so the sign at N_STAR equals the
-eventual sign for large N, which is what the package computes.
+cross product of differences of points or a dot product of two points, so
+for integer rows (a_x, b_x, a_y, b_y) with entries of at most M it is an
+integer polynomial in N of the kind the kernel's certificate bounds: all
+its real roots lie below B = polytope._certified_n(rows) = 24*M^2 + 1, and
+any N > B > 2M keeps the points' order and distinctness (the proof is in
+_locate's docstring).  So the oracle's signs at N_STAR are the eventual
+signs for large N, which is what the package computes, whenever
+B < N_STAR.  assert_n_star_past_certified_n asserts that for every polytope
+class row set the oracles evaluate: degree at most 8, every tau_grid slope.
+The random sets of the property tests are not covered by it.
 """
 
 import itertools
@@ -34,6 +41,8 @@ from nrgit import (
     wall_values,
     weight2,
 )
+from nrgit.envelope import _class_rows, _polytope_class
+from nrgit.polytope import _certified_n
 
 N_STAR = Fraction(10**7)
 
@@ -134,6 +143,19 @@ def tau_grid(n, eps=Fraction(1, 7)):
     for a, b in zip(ws, ws[1:]):
         taus.add(Fraction(a + b, 2))
     return sorted(taus)
+
+
+def assert_n_star_past_certified_n(n_max=8):
+    """The soundness argument above as an assertion: N_STAR exceeds the
+    kernel's certified N of every polytope class of degree at most n_max,
+    at every tau_grid slope."""
+    for n in range(1, n_max + 1):
+        keys = dict.fromkeys(map(_polytope_class, enumerate_env_points(n)))
+        for tau in tau_grid(n):
+            lin = lin_for(tau)
+            for key in keys:
+                rows = _class_rows(key, n, lin.m, lin.r)
+                assert _certified_n(rows) < N_STAR, (n, tau, key)
 
 
 def n_threshold_by_points(n, lin, max_n0=1 << 20):

@@ -26,7 +26,18 @@ from nrgit import (
     witness_lambdas,
 )
 
-from helpers import hull_polygon, oracle_location, scaled_minkowski
+from nrgit.envelope import _class_rows, _concrete_status, _polytope_class
+from nrgit.hilbert_mumford import _LOCATION_TO_STATUS
+from nrgit.polytope import _certified_n, _eventual_sign, _locate
+
+from helpers import (
+    assert_n_star_past_certified_n,
+    hull_polygon,
+    lin_for,
+    oracle_location,
+    scaled_minkowski,
+    tau_grid,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30), max_denominator=6
@@ -231,6 +242,100 @@ class TestContainsOrigin:
     def test_agrees_with_independent_oracle_on_symbolic_sets(self, raw):
         s = WeightSet(raw)
         assert contains_origin(s).value == oracle_location(s)
+
+
+# row entries: small values, where rows and signs collide, and values up to 10^12
+entries = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-10**12, max_value=10**12),
+)
+
+
+@st.composite
+def degenerate_rows(draw):
+    """Integer rows (a_x, b_x, a_y, b_y) with a duplicate, a row collinear
+    with two others for every N, and sometimes the origin."""
+    rows = draw(st.lists(st.tuples(entries, entries, entries, entries), min_size=1, max_size=5))
+    p, q = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+    t = draw(st.integers(min_value=-3, max_value=3))
+    rows.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
+    rows.append(draw(st.sampled_from(rows)))
+    if draw(st.booleans()):
+        rows.append((0, 0, 0, 0))
+    return rows
+
+
+def cross_coeffs(o, p, q):
+    """(c2, c1, c0) of (p - o) x (q - o) for rows, c2*N^2 + c1*N + c0."""
+    ux1, ux0, uy1, uy0 = (a - b for a, b in zip(p, o))
+    vx1, vx0, vy1, vy0 = (a - b for a, b in zip(q, o))
+    return (
+        ux1 * vy1 - uy1 * vx1,
+        ux1 * vy0 + ux0 * vy1 - uy1 * vx0 - uy0 * vx1,
+        ux0 * vy0 - uy0 * vx0,
+    )
+
+
+def dot_coeffs(p, q):
+    """(c2, c1, c0) of the dot product p . q of two rows."""
+    return (
+        p[0] * q[0] + p[2] * q[2],
+        p[0] * q[1] + p[1] * q[0] + p[2] * q[3] + p[3] * q[2],
+        p[1] * q[1] + p[3] * q[3],
+    )
+
+
+def sign_at(coeffs, n_value):
+    c2, c1, c0 = coeffs
+    value = (c2 * n_value + c1) * n_value + c0
+    return (value > 0) - (value < 0)
+
+
+class TestCertifiedN:
+    """_locate reads its rows at the one value N = _certified_n(rows); these
+    tests check the two facts its docstring proves of that value."""
+
+    @given(degenerate_rows())
+    @settings(max_examples=150)
+    # M = 3, and the orientation of the three rows is -N^2 + 66N: a root
+    # past 7M^2, which a bound of 4M^2 + 1 would miss
+    @example([(-3, -3, -2, 3), (-2, 3, -1, -3), (3, -3, 3, 3)])
+    def test_sign_at_certified_n_is_the_eventual_sign(self, rows):
+        b = _certified_n(rows)
+        pts = rows + [(0, 0, 0, 0)]
+        for o, p, q in itertools.product(pts, repeat=3):
+            coeffs = cross_coeffs(o, p, q)
+            assert sign_at(coeffs, b) == _eventual_sign(*coeffs), (o, p, q)
+        for p, q in itertools.product(pts, repeat=2):
+            coeffs = dot_coeffs(p, q)
+            assert sign_at(coeffs, b) == _eventual_sign(*coeffs), (p, q)
+
+    @given(degenerate_rows())
+    @settings(max_examples=150)
+    def test_certified_n_keeps_the_order_and_distinctness_of_rows(self, rows):
+        b = _certified_n(rows)
+
+        def at_b(row):
+            return (row[0] * b + row[1], row[2] * b + row[3])
+
+        pts = rows + [(0, 0, 0, 0)]
+        assert [at_b(row) for row in sorted(set(pts))] == sorted(set(map(at_b, pts)))
+
+    def test_concrete_status_equals_symbolic_from_certified_n_on(self):
+        for n in range(1, 7):
+            keys = dict.fromkeys(map(_polytope_class, enumerate_env_points(n)))
+            for tau in tau_grid(n):
+                lin = lin_for(tau)
+                for key in keys:
+                    rows = _class_rows(key, n, lin.m, lin.r)
+                    want = _LOCATION_TO_STATUS[_locate(rows)]
+                    b = _certified_n(rows)
+                    for n_value in (b, b + 1, 4 * b):
+                        got = _concrete_status(rows, n_value)
+                        assert got is want, (n, tau, key, n_value)
+
+    def test_n_star_lies_past_certified_n_on_class_rows(self):
+        assert_n_star_past_certified_n(8)
 
 
 class TestScaledMinkowski:
