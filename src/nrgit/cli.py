@@ -30,17 +30,18 @@ from .binary_forms import (
 )
 from .envelope import (
     EnvParams,
-    _V_LABELS,
-    _fixed_row,
+    _fixed_rows,
     embed_divisor,
-    fixed_point_weights,
     group_status,
     strong_envelope_report,
     torus_case_status,
     unipotent_status,
 )
 from .oracle import DEFAULT_MAX_CENSUS_N, diff_report
+from .polytope import _affine_text
 from .vgit import WallKind, chamber_profile, flip_data, walls
+
+_DEGREE_CEILING = 100_000  # the largest n of weights, walls, flips and diagram
 
 
 def _census_guard() -> int:
@@ -90,7 +91,7 @@ def parse_profile(text: str, n: int) -> Divisor:
 def _flatten(prefix: str, value, lines: list[str]):
     if isinstance(value, dict):
         for k in value:
-            _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], lines)
+            _flatten(f"{prefix}.{k}", value[k], lines)
     elif isinstance(value, (list, tuple)):
         if all(not isinstance(v, (dict, list, tuple)) for v in value):
             lines.append(f"{prefix}: [{', '.join(str(v) for v in value)}]")
@@ -157,10 +158,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    lin = LinParam(args.m, args.r)
+    EnvParams(args.n, LinParam(args.m, args.r))  # validates n and m
     rows = [
-        {"point": label, "i": i, "weight": f"({w.x}, {w.y})"}
-        for label, i, w in fixed_point_weights(EnvParams(args.n, lin))
+        {"point": label, "i": i, "weight": f"({_affine_text(a_x, b_x)}, {_affine_text(a_y, b_y)})"}
+        for label, i, (a_x, b_x, a_y, b_y) in _fixed_rows(args.n, args.m, args.r)
     ]
     notes = [
         "rows list the rank-2 torus weights of the fixed points "
@@ -282,9 +283,8 @@ def _diagram_svg(n: int, m: int, r: int, n_display: Fraction) -> str:
     # the integer rows at N, in ints when N is integral
     n_value = n_display.numerator if n_display.denominator == 1 else n_display
     points = [
-        (_V_LABELS[j], a_x * n_value + b_x, a_y * n_value + b_y)
-        for j in (0, 1, 2)
-        for a_x, b_x, a_y, b_y in (_fixed_row(j, i, n, m, r) for i in range(n + 1))
+        (label, a_x * n_value + b_x, a_y * n_value + b_y)
+        for label, _, (a_x, b_x, a_y, b_y) in _fixed_rows(n, m, r)
     ]
     scale = 20
     # the SVG is the only float: refuse when its width or height, at most
@@ -341,11 +341,13 @@ def cmd_diagram(args) -> int:
     n_display = _parse_fraction(args.N)
     if n_display <= 0:
         raise ValueError(f"display value of N must be positive, got {n_display}")
-    LinParam(args.m, args.r)
     svg = _diagram_svg(args.n, args.m, args.r, n_display)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(svg)
     return 0
@@ -359,10 +361,10 @@ def positive_int(text: str) -> int:
     return value
 
 
-def degree(text: str, ceiling: int = 100_000) -> int:
+def degree(text: str) -> int:
     value = positive_int(text)
-    if value > ceiling:
-        raise argparse.ArgumentTypeError(f"degree {value} exceeds the ceiling {ceiling}")
+    if value > _DEGREE_CEILING:
+        raise argparse.ArgumentTypeError(f"degree {value} exceeds the ceiling {_DEGREE_CEILING}")
     return value
 
 

@@ -35,12 +35,10 @@ from .polytope import (
     _eventual_sign,
     _locate_points,
     contains_origin,  # not called here; perfbench's tracer test wraps this binding
-    weight2,
 )
 
 # T1 x T2 weights (e_x, e_y) of the three v-coordinates under the rank-2 torus
 _E = {0: (0, 0), 1: (1, -1), 2: (-1, -1)}
-E_WEIGHTS = {j: weight2(*e) for j, e in _E.items()}
 
 _V_LABELS = {0: "[1:0:0]", 1: "[0:1:0]", 2: "[0:0:1]"}
 
@@ -122,6 +120,11 @@ def _fixed_row(j: int, i: int, n: int, m: int, r: int) -> tuple[int, int, int, i
     return (e_x, m * (2 * i - n), e_y, r)
 
 
+def _fixed_rows(n: int, m: int, r: int) -> list[tuple[str, int, tuple]]:
+    # the one fixed-point table: (label, i, row) per ([e_j], [x^(n-i) y^i]), family-major
+    return [(_V_LABELS[j], i, _fixed_row(j, i, n, m, r)) for j in (0, 1, 2) for i in range(n + 1)]
+
+
 def _weight(row: tuple) -> Weight2:
     # a row as the Weight2 of the public API
     a_x, b_x, a_y, b_y = row
@@ -135,12 +138,8 @@ def fixed_point_weights(params: EnvParams) -> list[tuple[str, int, Weight2]]:
     v = [0:1:0] row (N + m(2i-n), -N + r), the v = [0:0:1] row
     (-N + m(2i-n), -N + r).
     """
-    n, m, r = params.n, params.lin.m, params.lin.r
-    return [
-        (_V_LABELS[j], i, _weight(_fixed_row(j, i, n, m, r)))
-        for j in (0, 1, 2)
-        for i in range(n + 1)
-    ]
+    rows = _fixed_rows(params.n, params.lin.m, params.lin.r)
+    return [(label, i, _weight(row)) for label, i, row in rows]
 
 
 def point_polytope(p: EnvPoint, params: EnvParams) -> WeightSet:
@@ -277,6 +276,12 @@ def unipotent_status(p: EnvPoint, n: int) -> Status:
 _V_SUPPORTS = tuple(map(frozenset, ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2})))
 
 
+def _polytope_classes(n: int) -> list[tuple]:
+    # every _polytope_class of the degree-n points, each once: every
+    # v-support with every pair of slot masses a + b <= n, 7(n+1)(n+2)/2 in all
+    return [(sup, a, b) for sup in _V_SUPPORTS for a in range(n + 1) for b in range(n + 1 - a)]
+
+
 def enumerate_env_points(n: int) -> list[EnvPoint]:
     """Every coherent EnvPoint of degree n, over all profiles and v-supports."""
     return _env_points(_all_profiles(n))
@@ -366,10 +371,8 @@ def concrete_torus_case_status(p: EnvPoint, params: EnvParams, n_value) -> Statu
 
 
 def _concrete_status(rows: list[tuple], n_value) -> Status:
-    # the one concrete evaluation: rows at N = q/s > 0, scaled by s to stay integral
-    q, s = n_value.numerator, n_value.denominator
-    points = [(ax * q + bx * s, ay * q + by * s) for ax, bx, ay, by in rows]
-    return _LOCATION_TO_STATUS[_locate_points(points)]
+    # the torus status of integer rows at a concrete N > 0
+    return _LOCATION_TO_STATUS[_locate_points(rows, n_value)]
 
 
 _MAX_N0 = 1 << 20
@@ -380,13 +383,13 @@ def n_threshold(n: int, lin: LinParam) -> int:
     twist at every integer N in [N0, 4*N0] reproduces the symbolic status for
     every degree-n point of the completion.  Exhausting the scan bound would
     mean the symbolic order is wrong somewhere and raises.  Each polytope
-    class is evaluated once per N, on integer rows; the result is unchanged.
+    class (_polytope_classes) is evaluated once per N, on its integer rows.
     """
     EnvParams(n, lin)  # validates n
     m, r = lin.m, lin.r
     classes = [
         (_class_rows(key, n, m, r), _torus_case(*key, n, m, r))
-        for key in dict.fromkeys(map(_polytope_class, enumerate_env_points(n)))
+        for key in _polytope_classes(n)
     ]
     n0 = 1
     while n0 <= _MAX_N0:

@@ -34,7 +34,7 @@ masses and, for FullEnvelopeGroup, marked_mult.  Both groups keep v0 and the
 vanishing of (v1, v2) and move roots without changing their masses, so
 _placements reads nothing else of the point: the key is exact.  A scan stops
 at its first Unstable placement.  The polytope engine runs once per polytope
-class (envelope._polytope_class), on the class's integer weight rows
+class (envelope._polytope_classes), on the class's integer weight rows
 (envelope._class_rows) through polytope._locate: no Weight2 or WeightSet is
 built.
 """
@@ -58,6 +58,7 @@ from .envelope import (
     _env_points,
     _marked_choices,
     _polytope_class,
+    _polytope_classes,
     _torus_case,
     _unipotent_case,
     embed_divisor,
@@ -280,7 +281,9 @@ def diff_report(
     params = EnvParams(n, lin)
     # placement classes scored so far, for this report's linearisation only
     seen: dict = {}
-    engine: dict = {}  # polytope engine status per _polytope_class
+    # polytope engine status per _polytope_class; every class occurs below
+    engine = {key: _LOCATION_TO_STATUS[_locate(_class_rows(key, n, lin.m, lin.r))]
+              for key in _polytope_classes(n)}
     rows: list[DiffRow] = []
     checked = 0
 
@@ -313,9 +316,6 @@ def diff_report(
     for d, ms in zip(census, masses):
         for p in _env_points((d,)):
             checked += 1
-            key = _polytope_class(p)
-            if key not in engine:
-                engine[key] = _LOCATION_TO_STATUS[_locate(_class_rows(key, n, lin.m, lin.r))]
             record(
                 "group closed form vs tied placements",
                 p,
@@ -331,7 +331,7 @@ def diff_report(
             record(
                 "torus case list vs polytope engine",
                 p,
-                engine[key],
+                engine[_polytope_class(p)],
                 torus_case_status(p, params),
             )
     return DiffReport(n, lin, checked, tuple(rows))

@@ -15,11 +15,11 @@ this ordered domain; no floating point is used anywhere.
 A weight is read as its row (a_x, b_x, a_y, b_y) of coefficients (_row), and
 _dot is the one large-N dot product of two rows.  contains_origin scales its
 rows once by the LCM of their denominators (a positive dilation leaves the
-origin's location unchanged) and hands the plain integers to _locate, which
-evaluates them at N = B.  _locate_points, the one hull body, takes plain
-integer points: it builds the monotone-chain hull and reads the verdict off
-the signs of its edges in one pass.  The concrete path
-(envelope._concrete_status) hands it the rows evaluated at a given N.
+origin's location unchanged) and hands the plain integers to _locate.
+_locate_points, the one hull body, reads rows at a given N, builds the
+monotone-chain hull of the points and reads the verdict off the signs of its
+edges in one pass: _locate gives it the certified N = B, the concrete path
+(envelope._concrete_status) the N being studied.
 """
 
 from __future__ import annotations
@@ -179,21 +179,18 @@ class AffineN(_Record):
         return self.n_coeff * n_value + self.const
 
     def __str__(self):
-        if self.n_coeff == 0:
-            return str(self.const)
-        if self.n_coeff == 1:
-            head = "N"
-        elif self.n_coeff == -1:
-            head = "-N"
-        else:
-            head = f"{self.n_coeff}N"
-        if self.const == 0:
-            return head
-        sign = "+" if self.const > 0 else "-"
-        return f"{head}{sign}{abs(self.const)}"
+        return _affine_text(self.n_coeff, self.const)
 
     def __repr__(self):
         return f"AffineN({self.n_coeff!r}, {self.const!r})"
+
+
+def _affine_text(n_coeff: Rational, const: Rational) -> str:
+    # how AffineN(n_coeff, const) prints: "3", "N", "-N+2", "2N-1/2"
+    if n_coeff == 0:
+        return str(const)
+    head = "N" if n_coeff == 1 else "-N" if n_coeff == -1 else f"{n_coeff}N"
+    return f"{head}{'+' if const > 0 else '-'}{abs(const)}" if const else head
 
 
 ZERO = AffineN(0, 0)
@@ -280,12 +277,12 @@ def contains_origin(S: WeightSet) -> OriginLocation:
 
     The weights are scaled to integers for _locate, which the census engine
     check calls directly on the integer rows of each polytope class
-    (envelope._class_rows).  _locate evaluates the rows at its certified
-    N = B and hands the points to _locate_points, the one hull body, which
-    n_threshold reaches with the rows evaluated at a concrete N
-    (envelope._concrete_status): it builds their ccw hull once, and one pass
-    over its edges decides: outside if the origin is strictly right of an
-    edge, boundary if on an edge's line, else interior.
+    (envelope._class_rows).  _locate hands the rows and its certified N = B
+    to _locate_points, the one hull body, which n_threshold reaches with the
+    same rows and a concrete N (envelope._concrete_status).  The body reads
+    the rows at its N, builds their ccw hull once, and one pass over its
+    edges decides: outside if the origin is strictly right of an edge,
+    boundary if on an edge's line, else interior.
     """
     if not S.points:
         raise ValueError("contains_origin: empty weight set")
@@ -321,8 +318,7 @@ def _locate(rows: list[tuple]) -> OriginLocation:
       eventual sign that _eventual_sign reads off (c2, c1, c0).
     The body therefore takes the same steps at N = B as at any larger N.
     """
-    n_value = _certified_n(rows)
-    return _locate_points([(ax * n_value + bx, ay * n_value + by) for ax, bx, ay, by in rows])
+    return _locate_points(rows, _certified_n(rows))
 
 
 def _chain(points: list[tuple]) -> list[tuple]:
@@ -340,11 +336,11 @@ def _chain(points: list[tuple]) -> list[tuple]:
     return out
 
 
-def _locate_points(points: list[tuple]) -> OriginLocation:
-    # the one hull body: the origin against the hull of nonempty integer
-    # points (x, y); collinear points are dropped, so three or more hull
-    # vertices form a strictly convex counter-clockwise polygon
-    pts = sorted(set(points))
+def _locate_points(rows: list[tuple], n_value: Rational) -> OriginLocation:
+    # the one hull body: the origin against the hull of nonempty rows read
+    # at N = n_value > 0 (Fractions when n_value is one); collinear points
+    # are dropped, so three or more hull vertices form a strictly convex ccw polygon
+    pts = sorted({(ax * n_value + bx, ay * n_value + by) for ax, bx, ay, by in rows})
     if len(pts) > 2:
         pts = _chain(pts)[:-1] + _chain(pts[::-1])[:-1]
     if len(pts) == 1:

@@ -103,6 +103,26 @@ class TestWeights:
         assert code == 0
         assert "result.rows[3].weight: (N+3, -N+2)" in out
 
+    def test_rows_match_fixed_point_weights(self, capsys):
+        # the command prints the table from the integer rows; the public
+        # fixed_point_weights, its Weight2s printed, is the reference
+        for m, r in ((1, 0), (3, 2), (2, -5), (7, 13)):
+            for n in range(1, 41):
+                weights = nrgit.fixed_point_weights(nrgit.EnvParams(n, nrgit.LinParam(m, r)))
+                want = [(label, i, f"({w.x}, {w.y})") for label, i, w in weights]
+                argv = ("weights", "--n", str(n), "--m", str(m), "--r", str(r))
+                doc = run_json(capsys, *argv)
+                got = [(row["point"], row["i"], row["weight"]) for row in doc["result"]["rows"]]
+                assert got == want, (n, m, r)
+                code, out, _ = run(capsys, *argv)
+                assert code == 0
+                lines = [
+                    f"result.rows[{k}].{key}: {value}"
+                    for k, row in enumerate(want)
+                    for key, value in zip(("point", "i", "weight"), row)
+                ]
+                assert "\n".join(lines) + "\n" in out, (n, m, r)
+
 
 class TestWalls:
     def test_degree_four(self, capsys):
@@ -218,6 +238,19 @@ class TestDiagram:
         assert code == 0
         assert out == "" or str(target) in out
         ET.fromstring(target.read_text())
+
+    @pytest.mark.parametrize("where, reason", [
+        ("dir", "Is a directory"),
+        ("missing/d.svg", "No such file or directory"),
+    ])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, where, reason):
+        (tmp_path / "dir").mkdir()
+        target = tmp_path / where
+        code, out, err = run(capsys, "diagram", "--n", "2", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write --out {target}: {reason}\n"
+        assert not (tmp_path / "missing").exists()
 
     def test_degree_zero_rejected(self, capsys):
         code, _, _ = run(capsys, "diagram", "--n", "0", "--m", "1", "--r", "1")

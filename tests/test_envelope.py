@@ -35,7 +35,7 @@ from nrgit import (
     weight2,
 )
 
-from nrgit.envelope import _class_rows, _polytope_class
+from nrgit.envelope import _class_rows, _polytope_class, _polytope_classes
 from nrgit.hilbert_mumford import _LOCATION_TO_STATUS
 from nrgit.polytope import _integer_weights
 
@@ -184,6 +184,14 @@ class TestPointPolytope:
                     got = _class_rows(_polytope_class(p), n, m, r)
                     assert got == _integer_weights(point_polytope(p, params).points), (p, tau)
                     assert got == formula, (p, tau)
+
+    def test_polytope_classes_are_the_classes_of_the_points(self):
+        # n_threshold and diff_report list the classes in closed form; they
+        # must be exactly the classes of the completion's points, each once
+        for n in range(1, 13):
+            classes = _polytope_classes(n)
+            assert len(classes) == len(set(classes)) == 7 * (n + 1) * (n + 2) // 2
+            assert set(classes) == set(map(_polytope_class, enumerate_env_points(n))), n
 
     def test_degree_mismatch_rejected(self):
         p = EnvPoint({0}, Divisor(3, 0, 0, (3,)))
