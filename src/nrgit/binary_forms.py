@@ -54,9 +54,14 @@ class Divisor(_Record):
         return f"(n={self.n}, inf={self.mult_inf}, zero={self.mult_zero}, roots=[{roots}])"
 
 
+def _check_positive_degree(n: int) -> None:
+    # the one degree rule of every public entry that takes a degree
+    if n < 1:
+        raise ValueError(f"degree must be positive, got {n}")
+
+
 def validate(d: Divisor) -> Divisor:
-    if d.n < 1:
-        raise ValueError(f"degree must be positive, got {d.n}")
+    _check_positive_degree(d.n)
     if d.mult_inf < 0 or d.mult_zero < 0:
         raise ValueError(f"negative special multiplicity in {d!r}")
     if any(g < 1 for g in d.generic):
@@ -175,12 +180,18 @@ class MoveStep(_Record):
         self._set(op, arg, result)  # op: "move_root_to_zero" or "torus_limit"
 
 
+def _is_wall(n: int, tau) -> bool:
+    # the one wall rule, for an int or Fraction tau: 0, n, or an interior
+    # integer q with n - q even
+    return tau == 0 or tau == n or (tau.denominator == 1 and 0 < tau < n and (n - tau) % 2 == 0)
+
+
 def central_divisor(n: int, tau: Fraction) -> Divisor:
     """The unique closed-orbit configuration at an interior wall."""
-    s = Fraction(n - tau, 2)
-    if s.denominator != 1 or not 0 < tau < n:
+    if not (0 < tau < n and _is_wall(n, tau)):
         raise ValueError(f"tau={tau} is not an interior wall for n={n}")
-    return Divisor(n, int(s), n - int(s), ())
+    s = (n - int(tau)) // 2
+    return Divisor(n, s, n - s, ())
 
 
 def sequiv_witness(d: Divisor, lin: LinParam) -> list[MoveStep]:

@@ -24,6 +24,7 @@ from fractions import Fraction
 from .binary_forms import (
     Divisor,
     LinParam,
+    _check_positive_degree,
     classify_borel,
     classify_sl2,
     classify_unipotent,
@@ -158,7 +159,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    EnvParams(args.n, LinParam(args.m, args.r))  # validates n and m
+    _check_positive_degree(args.n)
     rows = [
         {"point": label, "i": i, "weight": f"({_affine_text(a_x, b_x)}, {_affine_text(a_y, b_y)})"}
         for label, i, (a_x, b_x, a_y, b_y) in _fixed_rows(args.n, args.m, args.r)
@@ -279,7 +280,7 @@ def cmd_census(args) -> int:
 
 
 def _diagram_svg(n: int, m: int, r: int, n_display: Fraction) -> str:
-    EnvParams(n, LinParam(m, r))  # validates n
+    _check_positive_degree(n)
     # the integer rows at N, in ints when N is integral
     n_value = n_display.numerator if n_display.denominator == 1 else n_display
     points = [
@@ -436,16 +437,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, RuntimeError) as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return 4
-    except ArithmeticError as exc:
-        # DegreeOverflowError, ZeroDivisionError: exact arithmetic left the
-        # domain the engine decides over
-        print(
-            f"internal invariant violation: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
+    except (AssertionError, RuntimeError, ArithmeticError) as exc:
+        # ArithmeticError (DegreeOverflowError, ZeroDivisionError): exact
+        # arithmetic left the domain the engine decides over
+        print(f"internal invariant violation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 

@@ -22,6 +22,7 @@ from .binary_forms import (
     Divisor,
     LinParam,
     _all_profiles,
+    _check_positive_degree,
     classify_borel,
     classify_unipotent,
 )
@@ -47,8 +48,7 @@ class EnvParams(_Record):
     __slots__ = ("n", "lin")
 
     def __init__(self, n: int, lin: LinParam):
-        if n < 1:
-            raise ValueError(f"degree must be positive, got {n}")
+        _check_positive_degree(n)
         self._set(n, lin)
 
 
@@ -284,6 +284,7 @@ def _polytope_classes(n: int) -> list[tuple]:
 
 def enumerate_env_points(n: int) -> list[EnvPoint]:
     """Every coherent EnvPoint of degree n, over all profiles and v-supports."""
+    _check_positive_degree(n)
     return _env_points(_all_profiles(n))
 
 
@@ -375,28 +376,26 @@ def _concrete_status(rows: list[tuple], n_value) -> Status:
     return _LOCATION_TO_STATUS[_locate_points(rows, n_value)]
 
 
-_MAX_N0 = 1 << 20
-
-
 def n_threshold(n: int, lin: LinParam) -> int:
     """Least N0 in a doubling scan 1, 2, 4, ... such that evaluating the
     twist at every integer N in [N0, 4*N0] reproduces the symbolic status for
-    every degree-n point of the completion.  Exhausting the scan bound would
-    mean the symbolic order is wrong somewhere and raises.  Each polytope
-    class (_polytope_classes) is evaluated once per N, on its integer rows.
+    every degree-n point of the completion.
+
+    The N that reproduce every status are exactly the N > r (every N >= 1
+    when r < 0), so N0 is 1 when r <= 0, else 1 << r.bit_length(), the
+    least power of two above r.  Proof: a class's rows (_class_rows) are
+    [1:0:0] at (c_i, r), [0:1:0] at (N + c_i, r - N), [0:0:1] at
+    (-N + c_i, r - N), with c_i = m(2i - n) at the class's two ends i,
+    a = c_mult_inf <= b = c_(n - mult_zero).
+    - N > r: each class has its _torus_case status.  A v-support without 0
+      lies at height r - N < 0; {0} is a segment at height r for every N;
+      with 0 in the v-support and r < 0 all lies below the axis.  For
+      r >= 0 the hulls of {0,1}, {0,2} and {0,1,2} run from height r down
+      to r - N < 0, and their edges of slope -1 or +1 meet the axis at
+      a + r and b + r, at a - r and b - r, and at a - r and b + r: the
+      intervals _torus_case reads, interior exactly when r > 0 and strict.
+    - 1 <= N <= r: the class ({0,1,2}, 0, 0) is stable for large N, but
+      lies above the axis when N < r and has its bottom edge on it at N = r.
     """
-    EnvParams(n, lin)  # validates n
-    m, r = lin.m, lin.r
-    classes = [
-        (_class_rows(key, n, m, r), _torus_case(*key, n, m, r))
-        for key in _polytope_classes(n)
-    ]
-    n0 = 1
-    while n0 <= _MAX_N0:
-        window = range(n0, 4 * n0 + 1)
-        if all(_concrete_status(rows, v) is want for v in window for rows, want in classes):
-            return n0
-        n0 *= 2
-    raise RuntimeError(
-        f"n_threshold scan exhausted at {_MAX_N0} for n={n}, lin={lin}"
-    )
+    _check_positive_degree(n)
+    return 1 << lin.r.bit_length() if lin.r > 0 else 1

@@ -278,11 +278,11 @@ def contains_origin(S: WeightSet) -> OriginLocation:
     The weights are scaled to integers for _locate, which the census engine
     check calls directly on the integer rows of each polytope class
     (envelope._class_rows).  _locate hands the rows and its certified N = B
-    to _locate_points, the one hull body, which n_threshold reaches with the
-    same rows and a concrete N (envelope._concrete_status).  The body reads
-    the rows at its N, builds their ccw hull once, and one pass over its
-    edges decides: outside if the origin is strictly right of an edge,
-    boundary if on an edge's line, else interior.
+    to _locate_points, the one hull body, which concrete_torus_case_status
+    reaches with the same rows and a concrete N (envelope._concrete_status).
+    The body reads the rows at its N, builds their ccw hull once, and one
+    pass over its edges decides: outside if the origin is strictly right of
+    an edge, boundary if on an edge's line, else interior.
     """
     if not S.points:
         raise ValueError("contains_origin: empty weight set")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .binary_forms import central_divisor
+from .binary_forms import _check_positive_degree, _is_wall, central_divisor
 from .polytope import _Record
 # not called here; perfbench/spans.py wraps this binding by name to count the
 # profile censuses vgit runs, and every traced run fails without it
@@ -67,16 +67,9 @@ class FlipData(_Record):
         self._set(s, e_plus_weights, e_minus_weights, slice_weights)
 
 
-def _is_wall(n: int, tau) -> bool:
-    # the one wall rule, for an int or Fraction tau: 0, n, or an interior
-    # integer q with n - q even
-    return tau == 0 or tau == n or (tau.denominator == 1 and 0 < tau < n and (n - tau) % 2 == 0)
-
-
 def wall_values(n: int) -> list[Fraction]:
     """Sorted wall slopes: 0, n, and interior q with n - q even."""
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
+    _check_positive_degree(n)
     return [Fraction(q) for q in range(n + 1) if _is_wall(n, q)]
 
 
@@ -110,11 +103,10 @@ def chamber_profile(n: int, tau) -> QuotientProfile:
     Off the end walls a stable configuration exists as soon as a semistable
     one does, so no census of profiles is needed.
     """
+    _check_positive_degree(n)
     tau = Fraction(tau)
     if not 0 <= tau <= n:
         raise ValueError(f"tau={tau} outside [0, {n}]")
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
     if n + tau < 2:
         return QuotientProfile(True, QuotientKind.EMPTY, None)
     if tau == 0:
@@ -166,7 +158,7 @@ def flip_data(n: int, tau) -> FlipData:
     tau = Fraction(tau)
     if n == 3:
         raise ValueError("degree 3 has no flip: both chamber quotients coincide")
-    wall_values(n)  # rejects n < 1 before the wall test
+    _check_positive_degree(n)  # before the wall test
     s = central_divisor(n, tau).mult_inf
     return FlipData(
         s,

@@ -8,20 +8,28 @@ from hypothesis import strategies as st
 
 from nrgit import (
     Divisor,
+    EnvParams,
     LimitDirection,
     LinParam,
     Status,
     ZERO_SLOT,
     central_divisor,
+    chamber_profile,
     classify_borel,
     classify_sl2,
     classify_unipotent,
+    enumerate_env_points,
     enumerate_profiles,
+    flip_data,
     move_root_to_zero,
+    n_threshold,
     sequiv_witness,
+    strong_envelope_report,
     torus_limit,
     wall_values,
+    walls,
 )
+from nrgit import binary_forms, vgit
 
 from helpers import lin_for, tau_grid
 
@@ -45,6 +53,28 @@ class TestDivisorValidation:
 
     def test_generic_anonymized_sorted(self):
         assert Divisor(6, 0, 0, (1, 3, 2)) == Divisor(6, 0, 0, (3, 2, 1))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda n: Divisor(n, 0, 0, ()),
+        lambda n: EnvParams(n, LinParam(1, 1)),
+        lambda n: n_threshold(n, LinParam(1, 1)),
+        enumerate_env_points,
+        lambda n: strong_envelope_report(n, LinParam(1, 1)),
+        wall_values,
+        walls,
+        # the degree is checked before the slope, which lies outside [0, n]
+        lambda n: chamber_profile(n, 0),
+        lambda n: flip_data(n, 1),
+    ],
+)
+def test_every_degree_entry_refuses_a_nonpositive_degree(entry, n):
+    # one rule, one message, whichever public entry is given the degree
+    with pytest.raises(ValueError, match=f"^degree must be positive, got {n}$"):
+        entry(n)
 
 
 class TestClassifyBorel:
@@ -173,6 +203,24 @@ class TestMoves:
                     ref = classify_borel(d, lin)
                     for d2 in moved:
                         assert classify_borel(d2, lin) is ref
+
+
+class TestCentralDivisor:
+    def test_exactly_the_interior_walls(self):
+        # on the half-integer grid over [-1, n + 1], with int and Fraction
+        # tau: a central divisor exactly at an integer 0 < tau < n with
+        # n - tau even, where it puts (n - tau)/2 at [1:0] and the rest at [0:1]
+        assert vgit._is_wall is binary_forms._is_wall
+        for n in range(1, 13):
+            for k in range(-2, 2 * n + 3):
+                taus = [Fraction(k, 2)] + ([k // 2] if k % 2 == 0 else [])
+                for tau in taus:
+                    if k % 2 == 0 and 0 < k < 2 * n and (n - k // 2) % 2 == 0:
+                        s = (n - k // 2) // 2
+                        assert central_divisor(n, tau) == Divisor(n, s, n - s, ()), (n, tau)
+                    else:
+                        with pytest.raises(ValueError, match="is not an interior wall"):
+                            central_divisor(n, tau)
 
 
 class TestSequivWitness:

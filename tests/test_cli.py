@@ -210,6 +210,17 @@ class TestCensus:
             "pairing is quadratic in N\n"
         )
 
+    @pytest.mark.parametrize("error", [RuntimeError, AssertionError])
+    def test_invariant_error_exits_four_naming_its_type(self, capsys, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "diff_report", broken)
+        code, out, err = run(capsys, "census", "--n", "3")
+        assert code == 4
+        assert out == ""
+        assert err == f"internal invariant violation: {error.__name__}: boom\n"
+
 
 class TestDiagram:
     def test_svg_well_formed(self, capsys):

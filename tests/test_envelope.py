@@ -35,9 +35,11 @@ from nrgit import (
     weight2,
 )
 
-from nrgit.envelope import _class_rows, _polytope_class, _polytope_classes
+from nrgit.envelope import (
+    _class_rows, _concrete_status, _polytope_class, _polytope_classes, _torus_case,
+)
 from nrgit.hilbert_mumford import _LOCATION_TO_STATUS
-from nrgit.polytope import _integer_weights
+from nrgit.polytope import _certified_n, _integer_weights
 
 from helpers import (
     hull_polygon, lin_for, n_threshold_by_points, N_STAR, scaled_minkowski, tau_grid,
@@ -186,8 +188,8 @@ class TestPointPolytope:
                     assert got == formula, (p, tau)
 
     def test_polytope_classes_are_the_classes_of_the_points(self):
-        # n_threshold and diff_report list the classes in closed form; they
-        # must be exactly the classes of the completion's points, each once
+        # diff_report lists the classes in closed form; they must be exactly
+        # the classes of the completion's points, each once
         for n in range(1, 13):
             classes = _polytope_classes(n)
             assert len(classes) == len(set(classes)) == 7 * (n + 1) * (n + 2) // 2
@@ -371,6 +373,36 @@ class TestConcreteThreshold:
     def test_class_scan_matches_point_scan(self, n, m, r):
         lin = LinParam(m, r)
         assert n_threshold(n, lin) == n_threshold_by_points(n, lin)
+
+    def test_least_good_twist_is_past_the_twist_on_every_class(self):
+        # the theorem behind n_threshold: with N* = max(1, r + 1), every
+        # class has its symbolic status at every N >= N* (sampled at N*,
+        # N* + 1, 2N* and the class's certified N), the class
+        # ({0,1,2}, 0, 0) has another at every N in 1..r, and n_threshold
+        # is the least power of two at or above N*
+        cases = [(n, lin_for(tau)) for n in range(1, 9) for tau in tau_grid(n)]
+        cases += [(12, LinParam(1, r)) for r in range(14)]
+        cases += [(12, LinParam(7, 7 * w + e)) for w in range(0, 13, 2) for e in (-1, 1)]
+        witness = (frozenset({0, 1, 2}), 0, 0)
+        for n, lin in cases:
+            m, r = lin.m, lin.r
+            n_star = max(1, r + 1)
+            for key in _polytope_classes(n):
+                rows = _class_rows(key, n, m, r)
+                want = _torus_case(*key, n, m, r)
+                for big_n in (n_star, n_star + 1, 2 * n_star, _certified_n(rows)):
+                    assert _concrete_status(rows, big_n) is want, (n, lin, key, big_n)
+            rows = _class_rows(witness, n, m, r)
+            want = _torus_case(*witness, n, m, r)
+            for small_n in range(1, r + 1):
+                assert _concrete_status(rows, small_n) is not want, (n, lin, small_n)
+            n0 = n_threshold(n, lin)
+            assert n0 & (n0 - 1) == 0 and n0 >= n_star > n0 // 2, (n, lin, n0)
+
+    def test_threshold_past_the_old_scan_bound(self):
+        # the least good twist 2**20 + 1 lies past any fixed scan bound of 2**20
+        assert n_threshold(1, LinParam(1, 2**20)) == 2**21
+        assert n_threshold(5, LinParam(3, 10**30)) == 1 << 100
 
     def test_concrete_status_matches_evaluated_weights(self):
         # the concrete path on integer rows against evaluating each weight
