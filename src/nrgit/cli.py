@@ -369,6 +369,32 @@ def degree(text: str) -> int:
     return value
 
 
+_REQUIRED = object()  # the default of an option the command cannot run without
+_N = ("--n", degree, None, _REQUIRED, "degree")
+_N_ANY = ("--n", positive_int, None, _REQUIRED, "degree")  # classify, census: own limits
+_LIN = (("--m", positive_int, None, 1, "tensor power m > 0"), ("--r", int, None, 0, "twist r"))
+_FORMAT = ("--format", None, ("text", "json"), "text", None)
+
+# (name, help, handler, options), in the order `nrgit -h` lists them; an
+# option is (flag, type, choices, default or _REQUIRED, help), and `--x` has
+# the dest `x`.  build_parser and _scan both read this table.
+_COMMANDS = (
+    ("classify", "classify one configuration", cmd_classify, (
+        _N_ANY, *_LIN, _FORMAT,
+        ("--profile", None, None, "", "configuration as inf=<k>,zero=<k>,roots=<k1+k2+...>"))),
+    ("weights", "fixed-point weight table", cmd_weights, (_N, *_LIN, _FORMAT)),
+    ("walls", "wall and chamber report", cmd_walls, (_N, _FORMAT)),
+    ("flips", "flip data at an interior wall", cmd_flips, (
+        _N, _FORMAT, ("--tau", None, None, _REQUIRED, "interior wall slope (rational)"))),
+    # diff_report applies the census guard
+    ("census", "verify closed forms against brute force", cmd_census, (_N_ANY, *_LIN, _FORMAT)),
+    ("diagram", "SVG weight diagram", cmd_diagram, (
+        _N, *_LIN, _FORMAT,
+        ("--N", None, None, "10", "display value for N (rendering only)"),
+        ("--out", None, None, None, "output path (default stdout)"))),
+)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The nrgit parser: with `command` naming a subcommand, only its subparser.
 
@@ -381,57 +407,64 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Exact stability computations for n points on the "
         "projective line under the Borel subgroup of SL(2).",
     )
-
-    def add_common(p, with_lin=True, n_type=degree):
-        p.add_argument("--n", type=n_type, required=True, help="degree")
-        if with_lin:
-            p.add_argument("--m", type=positive_int, default=1, help="tensor power m > 0")
-            p.add_argument("--r", type=int, default=0, help="twist r")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    def classify_args(p):
-        add_common(p, n_type=positive_int)
-        p.add_argument("--profile", default="",
-                       help="configuration as inf=<k>,zero=<k>,roots=<k1+k2+...>")
-
-    def flips_args(p):
-        add_common(p, with_lin=False)
-        p.add_argument("--tau", required=True, help="interior wall slope (rational)")
-
-    def diagram_args(p):
-        add_common(p)
-        p.add_argument("--N", default="10", help="display value for N (rendering only)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    # (name, help, argument adder, handler), in the order `nrgit -h` lists them
-    commands = [
-        ("classify", "classify one configuration", classify_args, cmd_classify),
-        ("weights", "fixed-point weight table", add_common, cmd_weights),
-        ("walls", "wall and chamber report", lambda p: add_common(p, with_lin=False), cmd_walls),
-        ("flips", "flip data at an interior wall", flips_args, cmd_flips),
-        # diff_report applies the census guard
-        ("census", "verify closed forms against brute force",
-         lambda p: add_common(p, n_type=positive_int), cmd_census),
-        ("diagram", "SVG weight diagram", diagram_args, cmd_diagram),
-    ]
-    picked = [row for row in commands if row[0] == command]
+    picked = [row for row in _COMMANDS if row[0] == command]
     # set with one command only: bare `nrgit` must still say "required: cmd"
-    metavar = {"metavar": "{%s}" % ",".join(row[0] for row in commands)} if picked else {}
+    metavar = {"metavar": "{%s}" % ",".join(row[0] for row in _COMMANDS)} if picked else {}
     sub = parser.add_subparsers(dest="cmd", required=True, **metavar)
-    for name, help_text, add_arguments, handler in picked or commands:
+    for name, help_text, handler, options in picked or _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
+        for flag, kind, choices, default, flag_help in options:
+            required = default is _REQUIRED
+            p.add_argument(flag, type=kind, choices=choices, required=required,
+                           default=None if required else default, help=flag_help)
         p.set_defaults(func=handler)
     return parser
 
 
+def _scan(argv: list[str]) -> argparse.Namespace | None:
+    """What `build_parser(argv[0]).parse_args(argv)` returns, on a clean line.
+
+    A clean line is a command, then `flag value` pairs: each flag one of the
+    command's own, in full and once; each value not starting with `-`, or
+    `-` and ASCII digits, which argparse always reads as a value; each
+    accepted by the flag's type and choices; every required flag given.
+    Any other line gives None and is argparse's: help, abbreviations,
+    `--flag=value`, `--` and every usage error.
+    """
+    row = next((row for row in _COMMANDS if argv and row[0] == argv[0]), None)
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if row is None or 2 * len(given) + 1 != len(argv):
+        return None
+    name, _, handler, options = row
+    values = {}
+    for flag, kind, choices, default, _ in options:
+        text = given.pop(flag, None)
+        if text is None:
+            if default is _REQUIRED:
+                return None
+            values[flag[2:]] = default
+            continue
+        if text[:1] == "-" and not (text[1:].isascii() and text[1:].isdigit()):
+            return None
+        try:
+            value = kind(text) if kind else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[flag[2:]] = value
+    return None if given else argparse.Namespace(cmd=name, func=handler, **values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _scan(argv)
+    if args is None:
+        parser = build_parser(argv[0] if argv else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except ValueError as exc:

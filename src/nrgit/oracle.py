@@ -47,6 +47,7 @@ from .binary_forms import (
     Divisor,
     LinParam,
     _all_profiles,
+    _check_positive_degree,
     classify_borel,
     classify_sl2,
     classify_unipotent,
@@ -74,6 +75,8 @@ DEFAULT_MAX_CENSUS_N = 12
 
 def partition_count(k: int) -> int:
     """Number of integer partitions of k (Euler recurrence)."""
+    if k < 0:
+        raise ValueError(f"partition count of a negative number {k}")
     p = [1] + [0] * k
     for part in range(1, k + 1):
         for total in range(part, k + 1):
@@ -83,6 +86,7 @@ def partition_count(k: int) -> int:
 
 def census_size_formula(n: int) -> int:
     """Sum over slot masses a + b <= n of p(n - a - b)."""
+    _check_positive_degree(n)
     return sum(
         partition_count(n - a - b)
         for a in range(n + 1)

@@ -8,6 +8,8 @@ import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nrgit
 from nrgit import DegreeOverflowError, cli
@@ -415,6 +417,8 @@ class TestParserPerCommand:
         assert err.endswith("error: the following arguments are required: cmd\n")
 
     def test_main_builds_the_named_command_only(self, capsys, monkeypatch):
+        # a clean line is answered from the option table; argparse is built
+        # only for the lines the scanner leaves to it
         built = []
         full = cli.build_parser
 
@@ -424,7 +428,13 @@ class TestParserPerCommand:
 
         monkeypatch.setattr(cli, "build_parser", spy)
         assert run(capsys, "walls", "--n", "3")[0] == 0
+        assert built == []
+        assert run(capsys, "walls", "--n=3")[0] == 0
         assert built == ["walls"]
+        code, out, _ = run(capsys, "-h")
+        assert (code, built) == (0, ["walls", "-h"])
+        # the full parser: help lists every command with its own help
+        assert all(f"    {name} " in out and help_text in out for name, help_text, _, _ in cli._COMMANDS)
 
     @pytest.mark.parametrize("columns", ("40", "80", "200"))
     def test_named_command_parser_refuses_the_others(self, capsys, monkeypatch, columns):
@@ -436,3 +446,82 @@ class TestParserPerCommand:
         assert exc.value.code == 2
         assert "invalid choice: 'walls'" in capsys.readouterr().err
         assert parser.format_usage() == cli.build_parser().format_usage()
+
+
+# clean lines: a command, then its own flags in full, each once, with a value
+CLEAN_LINES = [
+    ("classify", "--n", "3", "--m", "2", "--r", "-1", "--profile", "roots=2+1", "--format", "json"),
+    ("classify", "--profile", "", "--n", "1"),
+    ("weights", "--n", "4", "--r", "-0", "--m", "3"),
+    ("walls", "--n", "16", "--format", "json"),
+    ("flips", "--tau", "-1", "--n", "4"),
+    ("census", "--n", " 4", "--m", "1", "--r", "2"),
+    ("diagram", "--n", "3", "--N", "7/2"),
+    ("diagram", "--out", "d.svg", "--n", "2", "--r", "-12"),
+]
+# lines beside a clean one that argparse reads otherwise or refuses
+SCAN_TRAPS = [
+    ("classify", "--n", "3", "--r", "-1_000"), ("classify", "--n", "3", "--r", "-1e3"),
+    ("classify", "--n", "3", "--r", "-٣"), ("classify", "--n", "3", "--r", "-1\n"),
+    ("flips", "--n", "6", "--tau", "-"), ("flips", "--n", "6", "--tau", "-x"),
+    ("flips", "--n", "6", "--tau", "-²"), ("walls", "--n", "x", "--n", "4"),
+    ("walls", "--n", "3", "--"), ("walls", "--", "--n", "3"), ("walls", "--n", "3", "--m", "2"),
+    ("walls", "--format", "json"), ("walls", "--n", "100001"),
+    ("walls", "--n", "3", "--format", "JSON"), ("walls", "-h", "--n"), ("census", "--n", "0"),
+]
+
+
+def parsed(argv):
+    return vars(cli.build_parser(argv[0]).parse_args(argv))
+
+
+class TestScan:
+    # the fast path must not decay into "always leave it to argparse"
+    @pytest.mark.parametrize("argv", CLEAN_LINES, ids=" ".join)
+    def test_scan_answers_a_clean_line_of_every_command(self, argv):
+        assert cli._scan(list(argv)) is not None
+        assert {line[0] for line in CLEAN_LINES} == set(COMMANDS)
+
+    @pytest.mark.parametrize("argv", CLEAN_LINES + SCAN_TRAPS + PARSER_CORPUS, ids=" ".join)
+    def test_scan_agrees_with_argparse(self, argv):
+        args = cli._scan(list(argv))
+        if args is not None:
+            assert vars(args) == parsed(argv)
+
+
+FLAGS = sorted({option[0] for row in cli._COMMANDS for option in row[3]})
+# every command's flags, their abbreviations and --flag=value forms, help and
+# the option terminator
+FLAG_TOKENS = [
+    *FLAGS, *(flag[:k] for flag in FLAGS for k in range(3, len(flag))),
+    *(f"{flag}=3" for flag in FLAGS), "-h", "--help", "--", "--bogus",
+]
+SCAN_VALUES = [
+    "-1", "-0", "-1_000", " -1", "", "-", "٣", "JSON", "json", "text", "0", "3",
+    "100001", "7/2", "roots=2+1", "-12", "-x", "-²", "--n", "-h",
+]
+# a value each flag accepts
+GOOD_VALUES = {"--n": "3", "--m": "2", "--r": "-1", "--format": "json",
+               "--profile": "roots=2+1", "--tau": "2", "--N": "7/2", "--out": "d.svg"}
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_scan_agrees_with_argparse_on_drawn_lines(data):
+    # a clean line: the command's required flags and some others, each once
+    name, _, _, options = data.draw(st.sampled_from(cli._COMMANDS))
+    flags = data.draw(st.lists(st.sampled_from([option[0] for option in options]), unique=True))
+    flags += [option[0] for option in options
+              if option[3] is cli._REQUIRED and option[0] not in flags]
+    flags = data.draw(st.permutations(flags))
+    argv = [name, *(token for flag in flags for token in (flag, GOOD_VALUES[flag]))]
+    # then up to two changes: a value replaced, or a token put in after the command
+    for _ in range(data.draw(st.integers(0, 2))):
+        if data.draw(st.booleans()):
+            argv[2 * data.draw(st.integers(1, len(flags)))] = data.draw(st.sampled_from(SCAN_VALUES))
+        else:
+            token = data.draw(st.sampled_from(FLAG_TOKENS + SCAN_VALUES))
+            argv.insert(data.draw(st.integers(1, len(argv))), token)
+    args = cli._scan(argv)
+    if args is not None:
+        assert vars(args) == parsed(argv)

@@ -45,6 +45,16 @@ class TestCensus:
         assert census_size_formula(4) == 26
         assert census_size_formula(8) == 187
 
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_partition_count_refused(self, k):
+        with pytest.raises(ValueError, match="negative"):
+            partition_count(k)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_size_formula_refuses_a_degree_below_one(self, n):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            census_size_formula(n)
+
     def test_degree_two_census_explicitly(self):
         want = {
             Divisor(2, 0, 0, (1, 1)),
