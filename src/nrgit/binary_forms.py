@@ -249,10 +249,12 @@ def _partitions(total: int) -> list[tuple[int, ...]]:
 
 def _all_profiles(n: int) -> list[Divisor]:
     """Every multiplicity profile of degree n, duplicate-free."""
-    out = []
-    for a, b in itertools.product(range(n + 1), repeat=2):
-        if a + b > n:
-            continue
-        for parts in _partitions(n - a - b):
-            out.append(Divisor(n, a, b, parts))
-    return out
+    _check_positive_degree(n)
+    partitions = [_partitions(k) for k in range(n + 1)]
+    # valid by construction (parts come sorted descending): no Divisor check
+    return [
+        object.__new__(Divisor)._set(n, a, b, parts)
+        for a, b in itertools.product(range(n + 1), repeat=2)
+        if a + b <= n
+        for parts in partitions[n - a - b]
+    ]

@@ -110,7 +110,8 @@ def _check_degree(d: Divisor, n: int) -> None:
 
 def embed_divisor(d: Divisor) -> EnvPoint:
     """Image of a configuration under x -> ([1:1:0], x)."""
-    return EnvPoint({0, 1}, d, d.mult_inf)
+    # coherent by construction: marked_mult is the mass at [v1:v2] = [1:0]
+    return object.__new__(EnvPoint)._set(_EMBEDDED_SUPPORT, d, d.mult_inf)
 
 
 def _fixed_row(j: int, i: int, n: int, m: int, r: int) -> tuple[int, int, int, int]:
@@ -194,16 +195,16 @@ def _torus_case(v_support, mult_inf: int, mult_zero: int, n: int, m: int, r: int
         return Status.UNSTABLE
     a = m * (2 * mult_inf - n)
     b = m * (n - 2 * mult_zero)
-    special = v_support & {1, 2}
-    if not special:
+    v1, v2 = 1 in v_support, 2 in v_support
+    if not (v1 or v2):
         # horizontal segment at height r
         return _status(False, r == 0 and a <= 0 <= b)
     if r < 0:
         return Status.UNSTABLE
-    if special == {1}:
+    if not v2:  # the v-support meets {1, 2} in {1}
         member = a <= -r <= b
         interior = r > 0 and a < -r < b
-    elif special == {2}:
+    elif not v1:  # in {2}
         member = a <= r <= b
         interior = r > 0 and a < r < b
     else:
@@ -221,22 +222,23 @@ def group_status(p: EnvPoint, params: EnvParams) -> Status:
     semistable iff [v1:v2] != 0, the marked multiplicity is <= (n - tau)/2
     and every root multiplicity is <= (n + tau)/2, stable iff both strict.
     """
-    n, m, r = params.n, params.lin.m, params.lin.r
     d = p.divisor
-    _check_degree(d, n)
-    if r < 0 or r > n * m:
-        return Status.UNSTABLE
-    if 0 not in p.v_support:
+    _check_degree(d, params.n)
+    return _group_case(p.v_support, p.marked_mult, d.max_mult(),
+                       params.n, params.lin.m, params.lin.r)
+
+
+def _group_case(v_support, marked, top: int, n: int, m: int, r: int) -> Status:
+    # like _torus_case: group_status on raw fields, top the largest root mass
+    if r < 0 or r > n * m or 0 not in v_support:
         return Status.UNSTABLE
     if r == 0:
-        return _status(False, 2 * d.max_mult() <= n)
-    if not p.v_support & {1, 2}:
+        return _status(False, 2 * top <= n)
+    if 1 not in v_support and 2 not in v_support:
         return Status.UNSTABLE
-    marked = p.marked_mult
-    top = d.max_mult()
-    ss = 2 * marked * m <= n * m - r and 2 * top * m <= n * m + r
-    st = 2 * marked * m < n * m - r and 2 * top * m < n * m + r
-    return _status(st, ss)
+    lo, hi = n * m - r, n * m + r
+    return _status(2 * marked * m < lo and 2 * top * m < hi,
+                   2 * marked * m <= lo and 2 * top * m <= hi)
 
 
 def unipotent_case_status(p: EnvPoint, n: int) -> Status:
@@ -268,12 +270,16 @@ def unipotent_status(p: EnvPoint, n: int) -> Status:
     to embedded configurations this is exactly classify_unipotent.
     """
     _check_degree(p.divisor, n)
-    if 0 not in p.v_support:
-        return Status.UNSTABLE
-    return classify_unipotent(p.divisor)
+    return _unipotent_worst(p.v_support, classify_unipotent(p.divisor))
+
+
+def _unipotent_worst(v_support, unip: Status) -> Status:
+    # unipotent_status on raw fields, unip being the divisor's classify_unipotent
+    return unip if 0 in v_support else Status.UNSTABLE
 
 
 _V_SUPPORTS = tuple(map(frozenset, ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2})))
+_EMBEDDED_SUPPORT = _V_SUPPORTS[3]  # {0, 1}: v = [1:1:0]
 
 
 def _polytope_classes(n: int) -> list[tuple]:
@@ -294,9 +300,15 @@ def _env_points(profiles) -> list[EnvPoint]:
     return [
         object.__new__(EnvPoint)._set(sup, d, marked)
         for d in profiles
-        for sup in _V_SUPPORTS
-        for marked in _marked_choices(sup, d.mult_inf, d.mult_zero, d.generic)
+        for sup, choices in _support_choices(d)
+        for marked in choices
     ]
+
+
+def _support_choices(d: Divisor):
+    # the one enumeration of d's completion points, as raw fields: each
+    # v-support with its legal marked multiplicities, in enumeration order
+    return [(sup, _marked_choices(sup, d.mult_inf, d.mult_zero, d.generic)) for sup in _V_SUPPORTS]
 
 
 class EnvelopeReport(_Record):

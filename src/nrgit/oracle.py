@@ -33,10 +33,16 @@ _class_key, is whether v0 is nonzero, whether (v1, v2) is, the sorted root
 masses and, for FullEnvelopeGroup, marked_mult.  Both groups keep v0 and the
 vanishing of (v1, v2) and move roots without changing their masses, so
 _placements reads nothing else of the point: the key is exact.  A scan stops
-at its first Unstable placement.  The polytope engine runs once per polytope
-class (envelope._polytope_classes), on the class's integer weight rows
-(envelope._class_rows) through polytope._locate: no Weight2 or WeightSet is
-built.
+at its first Unstable placement.
+
+diff_report makes one pass per profile over raw fields: per profile, the
+sorted root masses, classify_unipotent and the Borel, unipotent and SL(2)
+checks; per v-support (envelope._support_choices), the polytope engine's
+status (run once per class on its integer rows), the torus case list and
+the unipotent closed form; per marked root, the group closed form and its
+class's table entry.  The points' closed forms run on raw cores
+(envelope._group_case, _unipotent_worst, _torus_case), each through a
+binding of its own; no EnvPoint is built for a point but a row's subject.
 """
 
 from __future__ import annotations
@@ -53,20 +59,21 @@ from .binary_forms import (
     classify_unipotent,
 )
 from .envelope import (
-    EnvParams,
+    _EMBEDDED_SUPPORT,
     EnvPoint,
     _class_rows,
-    _env_points,
+    _group_case,
     _marked_choices,
-    _polytope_class,
     _polytope_classes,
+    _support_choices,
     _torus_case,
     _unipotent_case,
+    _unipotent_worst,
     embed_divisor,
-    group_status,
-    torus_case_status,
-    unipotent_status,
 )
+# the completion-point checks' own bindings, apart from the profile check's and the scorer's
+from .binary_forms import classify_unipotent as _point_unipotent
+from .envelope import _torus_case as _torus_case_list
 from .hilbert_mumford import _LOCATION_TO_STATUS, Status
 from .polytope import _Record, _locate
 
@@ -129,12 +136,16 @@ def _slot_pairs(masses: list[int]):
             yield a, b
 
 
-def _class_key(kind: GroupKind, p: EnvPoint, masses: tuple | None = None) -> tuple:
-    # p's envelope-group class (module docstring); masses: its sorted root masses
-    sup = p.v_support
+def _class_key(kind: GroupKind, v_support, masses: tuple, marked) -> tuple:
+    # a point's envelope-group class (module docstring) from its raw fields:
+    # masses its sorted root masses, marked its marked_mult
     unipotent = kind is GroupKind.UNIPOTENT_ENVELOPE
-    return (unipotent, 0 in sup, not sup.isdisjoint({1, 2}),
-            masses or tuple(sorted(p.divisor.all_mults())), None if unipotent else p.marked_mult)
+    return (unipotent, 0 in v_support, 1 in v_support or 2 in v_support,
+            masses, None if unipotent else marked)
+
+
+def _point_key(kind: GroupKind, p: EnvPoint) -> tuple:
+    return _class_key(kind, p.v_support, tuple(sorted(p.divisor.all_mults())), p.marked_mult)
 
 
 def _placements(kind: GroupKind, p: EnvPoint, key: tuple | None = None) -> list[tuple]:
@@ -143,12 +154,13 @@ def _placements(kind: GroupKind, p: EnvPoint, key: tuple | None = None) -> list[
 
     The one enumeration of the move rules: moves_for builds its EnvPoints
     from these tuples and the oracles score them without building any.
+    For the two envelope groups a given key, p's _class_key, is all that is
+    read, and p may be None.
     """
-    d = p.divisor
-    sup = p.v_support
     if kind is GroupKind.TORUS_ONLY:
-        return [(sup, d.mult_inf, d.mult_zero, p.marked_mult)]
+        return [(p.v_support, p.divisor.mult_inf, p.divisor.mult_zero, p.marked_mult)]
     if kind is GroupKind.BOREL:
+        d, sup = p.divisor, p.v_support
         if sup != {0, 1} or p.marked_mult != d.mult_inf:
             raise ValueError(
                 f"Borel moves are defined for embedded configurations, got {p}"
@@ -156,7 +168,7 @@ def _placements(kind: GroupKind, p: EnvPoint, key: tuple | None = None) -> list[
         return [(sup, d.mult_inf, q, d.mult_inf) for q in sorted({0, d.mult_zero, *d.generic})]
     if kind is not GroupKind.UNIPOTENT_ENVELOPE and kind is not GroupKind.FULL_ENVELOPE_GROUP:
         raise ValueError(f"unknown group kind {kind!r}")
-    unipotent, v0, v12, masses, marked = key or _class_key(kind, p)
+    unipotent, v0, v12, masses, marked = key or _point_key(kind, p)
     base = frozenset({0} if v0 else ())
     if unipotent:
         vcases = [base | {1}, base | {2}, base | {1, 2}] if v12 else [base]
@@ -195,8 +207,8 @@ def moves_for(kind: GroupKind, p: EnvPoint) -> GroupMoveSet:
     )
 
 
-def _class_worst(kind: GroupKind, p: EnvPoint, lin: LinParam | None, seen: dict,
-                 masses: tuple | None = None) -> Status:
+def _class_worst(kind: GroupKind, p: EnvPoint | None, lin: LinParam | None, seen: dict,
+                 key: tuple | None = None) -> Status:
     """Worst status over the placements kind reaches from p: the one
     placement scorer of this module.
 
@@ -204,25 +216,26 @@ def _class_worst(kind: GroupKind, p: EnvPoint, lin: LinParam | None, seen: dict,
     ({} scores a single point).  It keys each placement's status by
     (unipotent, v_support, mult_inf, mult_zero), the flag naming the scorer,
     and each UnipotentEnvelope or FullEnvelopeGroup class's worst case by
-    its _class_key, p's sorted root masses being masses if given.  That key
-    is exact, since _placements reads nothing else of p.  The scan stops at
-    the first Unstable placement: nothing is worse, and neither scorer
+    its _class_key.  That key is exact, since _placements reads nothing else
+    of p, so a caller that gives it as key passes None for p.  The scan stops
+    at the first Unstable placement: nothing is worse, and neither scorer
     raises, so the placements it skips change nothing.
     """
-    d = p.divisor
+    if key is None and kind in (GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP):
+        key = _point_key(kind, p)
+    if key:
+        got = seen.get(key)
+        if got is not None:
+            return got
     unipotent = kind is GroupKind.UNIPOTENT_ENVELOPE
-    key = None
-    if unipotent or kind is GroupKind.FULL_ENVELOPE_GROUP:
-        key = _class_key(kind, p, masses)
-        if key in seen:
-            return seen[key]
     placements = _placements(kind, p, key)
+    n = sum(key[3]) if key else p.divisor.n  # a class's root masses sum to n
     if unipotent:
-        score, args = _unipotent_case, (d.n,)
+        score, args = _unipotent_case, (n,)
     elif lin is None:
         raise ValueError(f"{kind.value} placements require a linearisation")
     else:
-        score, args = _torus_case, (d.n, lin.m, lin.r)
+        score, args = _torus_case, (n, lin.m, lin.r)
     status = Status.STABLE
     for sup, a, b, _ in placements:
         placement = (unipotent, sup, a, b)
@@ -248,7 +261,9 @@ def worst_case_status(d: Divisor, lin: LinParam | None, group: GroupKind) -> Sta
 def _sl2_placement_status(d: Divisor, seen: dict, masses: tuple | None = None) -> Status:
     # independent check for classify_sl2: the SL(2) weights 2i - n over all
     # slot placements are the UnipotentEnvelope weights at v = [1:0:0]
-    return _class_worst(GroupKind.UNIPOTENT_ENVELOPE, EnvPoint({0}, d), None, seen, masses)
+    kind = GroupKind.UNIPOTENT_ENVELOPE
+    key = _class_key(kind, {0}, masses or tuple(sorted(d.all_mults())), None)
+    return _class_worst(kind, None, None, seen, key)
 
 
 class DiffRow(_Record):
@@ -282,60 +297,55 @@ def diff_report(
     """
     borel_fn = classify_borel_fn or classify_borel
     census = enumerate_profiles(n, max_n)
-    params = EnvParams(n, lin)
+    m, r = lin.m, lin.r
+    unip, full = GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP
     # placement classes scored so far, for this report's linearisation only
     seen: dict = {}
-    # polytope engine status per _polytope_class; every class occurs below
-    engine = {key: _LOCATION_TO_STATUS[_locate(_class_rows(key, n, lin.m, lin.r))]
+    # polytope engine status per polytope class; every class occurs below
+    engine = {key: _LOCATION_TO_STATUS[_locate(_class_rows(key, n, m, r))]
               for key in _polytope_classes(n)}
     rows: list[DiffRow] = []
+    point_rows: list[DiffRow] = []
     checked = 0
 
-    def record(check, subject, expected, got):
-        if expected != got:
-            rows.append(DiffRow(check, str(subject), str(expected), str(got)))
+    def record(out, subject, checks):
+        for check, expected, got in checks:
+            if expected != got:
+                out.append(DiffRow(check, str(subject), str(expected), str(got)))
 
-    masses = [tuple(sorted(d.all_mults())) for d in census]
-    for d, ms in zip(census, masses):
+    for d in census:
         checked += 1
-        p = embed_divisor(d)
-        record(
-            "borel closed form vs Borel placements",
-            d,
-            _class_worst(GroupKind.BOREL, p, lin, seen),
-            borel_fn(d, lin),
-        )
-        record(
-            "unipotent closed form vs SL(2) placements",
-            d,
-            _class_worst(GroupKind.UNIPOTENT_ENVELOPE, p, None, seen, ms),
-            classify_unipotent(d),
-        )
-        record(
-            "sl2 closed form vs slot placements",
-            d,
-            _sl2_placement_status(d, seen, ms),
-            classify_sl2(d),
-        )
-    for d, ms in zip(census, masses):
-        for p in _env_points((d,)):
-            checked += 1
-            record(
-                "group closed form vs tied placements",
-                p,
-                _class_worst(GroupKind.FULL_ENVELOPE_GROUP, p, lin, seen, ms),
-                group_status(p, params),
-            )
-            record(
-                "unipotent closed form vs SL(2) placements (completion point)",
-                p,
-                _class_worst(GroupKind.UNIPOTENT_ENVELOPE, p, None, seen, ms),
-                unipotent_status(p, n),
-            )
-            record(
-                "torus case list vs polytope engine",
-                p,
-                engine[_polytope_class(p)],
-                torus_case_status(p, params),
-            )
-    return DiffReport(n, lin, checked, tuple(rows))
+        masses = tuple(sorted(d.all_mults()))
+        record(rows, d, (
+            ("borel closed form vs Borel placements",
+             _class_worst(GroupKind.BOREL, embed_divisor(d), lin, seen), borel_fn(d, lin)),
+            ("unipotent closed form vs SL(2) placements",
+             _class_worst(unip, None, None, seen,
+                          _class_key(unip, _EMBEDDED_SUPPORT, masses, None)),
+             classify_unipotent(d)),
+            ("sl2 closed form vs slot placements",
+             _sl2_placement_status(d, seen, masses), classify_sl2(d)),
+        ))
+        # d's completion points, by v-support then marked root; each value is
+        # computed in the outermost loop that fixes all of its arguments
+        a, b, top = d.mult_inf, d.mult_zero, masses[-1]  # top: d.max_mult()
+        profile_unip = _point_unipotent(d)
+        for sup, choices in _support_choices(d):
+            unip_worst = _class_worst(unip, None, None, seen, _class_key(unip, sup, masses, None))
+            unip_closed = _unipotent_worst(sup, profile_unip)
+            engine_status = engine[sup, a, b]
+            torus = _torus_case_list(sup, a, b, n, m, r)
+            for marked in choices:
+                checked += 1
+                group_worst = _class_worst(full, None, lin, seen,
+                                           _class_key(full, sup, masses, marked))
+                group = _group_case(sup, marked, top, n, m, r)
+                if group_worst != group or unip_worst != unip_closed or engine_status != torus:
+                    # the one EnvPoint built for a point: an emitted row's subject
+                    record(point_rows, EnvPoint(sup, d, marked), (
+                        ("group closed form vs tied placements", group_worst, group),
+                        ("unipotent closed form vs SL(2) placements (completion point)",
+                         unip_worst, unip_closed),
+                        ("torus case list vs polytope engine", engine_status, torus),
+                    ))
+    return DiffReport(n, lin, checked, tuple(rows + point_rows))
