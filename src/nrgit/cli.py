@@ -63,9 +63,9 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def parse_profile(text: str, n: int) -> Divisor:
-    """Parse `inf=<k>,zero=<k>,roots=<k1+k2+...>`; omitted fields are 0/empty."""
-    fields = {"inf": 0, "zero": 0}
-    roots: tuple[int, ...] = ()
+    """Parse `inf=<k>,zero=<k>,roots=<k1+k2+...>`; omitted fields are 0/empty;
+    a repeated field or an empty piece of a nonempty roots list is an error."""
+    fields = {}
     for chunk in (text or "").split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -74,27 +74,72 @@ def parse_profile(text: str, n: int) -> Divisor:
         key = key.strip()
         if not eq:
             raise ValueError(f"malformed profile field {chunk!r}")
+        if key not in ("inf", "zero", "roots"):
+            raise ValueError(f"unknown profile field {key!r}")
+        if key in fields:
+            raise ValueError(f"profile field {key!r} given twice")
         if key == "roots":
             try:
-                roots = tuple(int(x) for x in val.split("+") if x.strip())
+                fields[key] = tuple(int(x) for x in val.split("+")) if val.strip() else ()
             except ValueError:
                 raise ValueError(f"malformed roots list {val!r}")
-        elif key in fields:
+        else:
             try:
                 fields[key] = int(val)
             except ValueError:
                 raise ValueError(f"malformed multiplicity {chunk!r}")
-        else:
-            raise ValueError(f"unknown profile field {key!r}")
-    return Divisor(n, fields["inf"], fields["zero"], roots)
+    return Divisor(n, fields.get("inf", 0), fields.get("zero", 0), fields.get("roots", ()))
+
+
+_quote = json.encoder.encode_basestring_ascii  # json's own C string encoder
+_CONTAINERS = (dict, list, tuple)
+
+
+def _json(value, indent: str) -> str:
+    """The bytes of `json.dumps(value, indent=2, sort_keys=True)` for a report
+    value (str keys), nested at `indent`, without json's pure-Python encoder,
+    which an indent selects."""
+    if isinstance(value, _CONTAINERS):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        # str and exact int items inline, with no call each: the bulk of a
+        # large report; an exact int formats as int.__repr__ does
+        if isinstance(value, dict):
+            body = sep.join([
+                f"{_quote(k)}: "
+                f"{_quote(v) if type(v) is str else v if type(v) is int else _json(v, inner)}"
+                for k, v in sorted(value.items())
+            ])
+            return f"{{\n{inner}{body}\n{indent}}}"
+        body = sep.join([
+            _quote(v) if type(v) is str else f"{v}" if type(v) is int else _json(v, inner)
+            for v in value
+        ])
+        return f"[\n{inner}{body}\n{indent}]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 def _flatten(prefix: str, value, lines: list[str]):
     if isinstance(value, dict):
-        for k in value:
-            _flatten(f"{prefix}.{k}", value[k], lines)
+        for k, v in value.items():
+            if isinstance(v, _CONTAINERS):
+                _flatten(f"{prefix}.{k}", v, lines)
+            else:
+                lines.append(f"{prefix}.{k}: {v}")
     elif isinstance(value, (list, tuple)):
-        if all(not isinstance(v, (dict, list, tuple)) for v in value):
+        if all(not isinstance(v, _CONTAINERS) for v in value):
             lines.append(f"{prefix}: [{', '.join(str(v) for v in value)}]")
         else:
             for i, v in enumerate(value):
@@ -104,14 +149,9 @@ def _flatten(prefix: str, value, lines: list[str]):
 
 
 def emit_report(command: str, inputs: dict, result: dict, notes: list[str], fmt: str) -> str:
-    report = {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "notes": notes,
-    }
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        report = {"command": command, "inputs": inputs, "result": result, "notes": notes}
+        return _json(report, "") + "\n"
     lines = [f"command: {command}"]
     _flatten("inputs", inputs, lines)
     _flatten("result", result, lines)

@@ -24,6 +24,7 @@ The random sets of the property tests are not covered by it.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 from nrgit import (
@@ -215,3 +216,24 @@ def scaled_minkowski(parts, shift) -> WeightSet:
             y = y + scale * pt.y
         sums.append(Weight2(x, y))
     return WeightSet(sums)
+
+
+# The report emitter's two formats as cli wrote them before its direct
+# writers: the oracles the writers must match byte for byte.
+
+def report_json(report) -> str:
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+def report_flatten(prefix: str, value, lines: list[str]):
+    if isinstance(value, dict):
+        for k in value:
+            report_flatten(f"{prefix}.{k}", value[k], lines)
+    elif isinstance(value, (list, tuple)):
+        if all(not isinstance(v, (dict, list, tuple)) for v in value):
+            lines.append(f"{prefix}: [{', '.join(str(v) for v in value)}]")
+        else:
+            for i, v in enumerate(value):
+                report_flatten(f"{prefix}[{i}]", v, lines)
+    else:
+        lines.append(f"{prefix}: {value}")

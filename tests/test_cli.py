@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nrgit
+from helpers import report_flatten, report_json
 from nrgit import DegreeOverflowError, cli
 
 
@@ -73,6 +74,21 @@ class TestClassify:
                                "--r", "2", "--profile", bad)
             assert code == 2, bad
             assert "error" in err
+
+    @pytest.mark.parametrize("bad, field", [
+        ("roots=1+1,roots=3", "'roots'"), ("inf=1,zero=1,inf=0", "'inf'"),
+        ("zero=1,zero=1", "'zero'"), ("roots=+2+1", "roots"), ("roots=2++1", "roots"),
+    ])
+    def test_profile_repeats_and_empty_roots_rejected(self, capsys, bad, field):
+        # a repeated field once overrode the earlier one, and empty pieces of
+        # a roots list were dropped: both answered for another profile
+        code, out, err = run(capsys, "classify", "--n", "3", "--profile", bad)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and field in err
+
+    def test_empty_roots_list_is_a_profile(self, capsys):
+        doc = run_json(capsys, "classify", "--n", "3", "--profile", "inf=1,zero=2,roots=")
+        assert doc["inputs"]["profile"] == str(nrgit.Divisor(3, 1, 2, ()))
 
     def test_text_and_json_carry_the_same_result(self, capsys):
         argv = ("classify", "--n", "4", "--m", "1", "--r", "2",
@@ -525,3 +541,78 @@ def test_scan_agrees_with_argparse_on_drawn_lines(data):
     args = cli._scan(argv)
     if args is not None:
         assert vars(args) == parsed(argv)
+
+
+# report trees: every kind of value the emitter may meet, strings with the
+# characters json escapes (quote, backslash, controls) and with DEL,
+# non-ASCII and astral characters it writes as \u escapes
+REPORT_TEXT = st.text('"\\\x00\x08\n\x1f\x7f\x80é€\U0001f600a', max_size=8) | st.text(max_size=4)
+REPORT_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.integers(-2**100, 2**100), st.floats(), REPORT_TEXT)
+REPORT_TREES = st.recursive(
+    REPORT_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(REPORT_TEXT, children, max_size=4)),
+    max_leaves=16,
+)
+REPORT_DICTS = st.dictionaries(REPORT_TEXT, REPORT_TREES, max_size=4)
+
+
+@given(REPORT_TREES, REPORT_DICTS, REPORT_DICTS, st.lists(REPORT_TEXT, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_emitter_writes_the_standard_librarys_bytes(tree, inputs, result, notes):
+    assert cli._json(tree, "") == report_json(tree)
+    got, want = [], []
+    cli._flatten("result", tree, got)
+    report_flatten("result", tree, want)
+    assert got == want
+    report = {"command": "c", "inputs": inputs, "result": result, "notes": notes}
+    assert cli.emit_report("c", inputs, result, notes, "json") == report_json(report) + "\n"
+    lines = ["command: c"]
+    report_flatten("inputs", inputs, lines)
+    report_flatten("result", result, lines)
+    lines += [f"note: {note}" for note in notes]
+    assert cli.emit_report("c", inputs, result, notes, "text") == "\n".join(lines) + "\n"
+
+
+def pinned_lines(n):
+    """One command line of each command at degree n >= 4, where n - 2 is an
+    interior wall; census refuses n past its guard."""
+    profile = f"inf=1,zero=1,roots={n - 2}"
+    lin = ("--m", "2", "--r", "1")
+    return [
+        ("classify", "--n", str(n), *lin, "--profile", profile),
+        ("weights", "--n", str(n), *lin),
+        ("walls", "--n", str(n)),
+        ("flips", "--n", str(n), "--tau", str(n - 2)),
+        ("census", "--n", str(n), *lin),
+        ("diagram", "--n", str(n), *lin),
+    ]
+
+
+class TestOutputPin:
+    # SHA-256 per degree of every pinned_lines(n) answer, "exit <code>" and
+    # stdout, in order: text, then JSON; recorded before the report emitter
+    # wrote JSON and text directly
+    OUTPUT_SHA256 = {
+        4: ("79df7e84cf01e1b93458b9a5a021c4a8e44b1abe03038a90685e874f434e7188",
+            "b37c6f1b2d9992993c3752b838ab6a2cebc203df4495394747c890d883b21281"),
+        7: ("4bc92dcedb711b5cf47ed0e652ad1522216577eaca09034a6b0d9400726c2b84",
+            "1433db43091e40f1eb79b7e8db528bb0037d26c0cff219e905898c65aa8c8736"),
+        12: ("9ace294e59dbbd3c410287fb889d7685a3c53f99aafcf1a6b5243945ba6d1604",
+            "df7e4623f06599753acf54b0b666cab1a666e66480cf0a59f13ec869f569fe0e"),
+        40: ("655a5d9790431acc7becbd15e444fc474b85199f203e1a2940684eeb95f5645c",
+            "09d43d9eb1f9b4602044613c9fc611416875f38fedcd95c070238c3ae241a304"),
+    }
+
+    @pytest.mark.parametrize("n", sorted(OUTPUT_SHA256))
+    def test_output_pinned(self, capsys, n):
+        got = []
+        for fmt in ("text", "json"):
+            digest = hashlib.sha256()
+            for argv in pinned_lines(n):
+                code, out, _ = run(capsys, *argv, "--format", fmt)
+                digest.update(f"exit {code}\n{out}".encode())
+            got.append(digest.hexdigest())
+        assert tuple(got) == self.OUTPUT_SHA256[n]
