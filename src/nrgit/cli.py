@@ -62,9 +62,17 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"expected a rational p/q, got {text!r}")
 
 
+def _ascii_int(text: str) -> int:
+    # int() also reads digit-group underscores and non-ASCII digits ("1_0", "٠")
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def parse_profile(text: str, n: int) -> Divisor:
     """Parse `inf=<k>,zero=<k>,roots=<k1+k2+...>`; omitted fields are 0/empty;
-    a repeated field or an empty piece of a nonempty roots list is an error."""
+    a repeated field, an empty piece of a nonempty roots list or a number
+    not written in ASCII digits (with sign and spaces) is an error."""
     fields = {}
     for chunk in (text or "").split(","):
         chunk = chunk.strip()
@@ -80,12 +88,12 @@ def parse_profile(text: str, n: int) -> Divisor:
             raise ValueError(f"profile field {key!r} given twice")
         if key == "roots":
             try:
-                fields[key] = tuple(int(x) for x in val.split("+")) if val.strip() else ()
+                fields[key] = tuple(_ascii_int(x) for x in val.split("+")) if val.strip() else ()
             except ValueError:
                 raise ValueError(f"malformed roots list {val!r}")
         else:
             try:
-                fields[key] = int(val)
+                fields[key] = _ascii_int(val)
             except ValueError:
                 raise ValueError(f"malformed multiplicity {chunk!r}")
     return Divisor(n, fields.get("inf", 0), fields.get("zero", 0), fields.get("roots", ()))
@@ -435,23 +443,15 @@ _COMMANDS = (
 )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The nrgit parser: with `command` naming a subcommand, only its subparser.
-
-    argparse hands every token after the command to that subparser, so the
-    other commands show only in the top-level usage line, which the metavar
-    keeps.  Any other `command` (None, an option, a typo) gets all six.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The nrgit parser: every subcommand of _COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="nrgit",
         description="Exact stability computations for n points on the "
         "projective line under the Borel subgroup of SL(2).",
     )
-    picked = [row for row in _COMMANDS if row[0] == command]
-    # set with one command only: bare `nrgit` must still say "required: cmd"
-    metavar = {"metavar": "{%s}" % ",".join(row[0] for row in _COMMANDS)} if picked else {}
-    sub = parser.add_subparsers(dest="cmd", required=True, **metavar)
-    for name, help_text, handler, options in picked or _COMMANDS:
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, help_text, handler, options in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         for flag, kind, choices, default, flag_help in options:
             required = default is _REQUIRED
@@ -462,7 +462,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _scan(argv: list[str]) -> argparse.Namespace | None:
-    """What `build_parser(argv[0]).parse_args(argv)` returns, on a clean line.
+    """What `build_parser().parse_args(argv)` returns, on a clean line.
 
     A clean line is a command, then `flag value` pairs: each flag one of the
     command's own, in full and once; each value not starting with `-`, or
@@ -500,9 +500,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _scan(argv)
     if args is None:
-        parser = build_parser(argv[0] if argv else None)
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
     try:

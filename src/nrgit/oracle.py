@@ -21,28 +21,33 @@ Placement rules per group:
                      placements and v-cases vary independently.
 
 A placement is a raw (v_support, mult_inf, mult_zero, marked_mult) tuple,
-of which the scorers read the first three.  moves_for builds EnvPoints
-from the same enumeration, each move's generic roots being the point's root
-masses less the two slot masses.  One function, _class_worst, scores
-placements, by envelope._unipotent_case for UnipotentEnvelope and
-envelope._torus_case at the linearisation otherwise, and takes the worst;
-worst_case_status, the SL(2) check and diff_report all call it.  Within one
+of which the scorers read the first three.  _placements enumerates them
+from a class key alone, and _point_key is the one route from a point to
+its key: the group kind, then all that the group's placements read of the
+point, so the key is exact.  TorusOnly's key is the point's own placement;
+Borel's, on an embedded point, is the mass at [1:0] and the sorted masses,
+0 among them, that can be brought to [0:1]; an envelope group's is whether
+v0 is nonzero, whether (v1, v2) is, the sorted root masses and, for
+FullEnvelopeGroup, marked_mult.  Both envelope groups keep v0 and the
+vanishing of (v1, v2) and move roots without changing their masses.
+moves_for builds EnvPoints from the same enumeration, each move's generic
+roots being the point's root masses less the two slot masses.  One
+function, _class_worst, scores a class, by envelope._unipotent_case for
+UnipotentEnvelope and envelope._torus_case at the linearisation otherwise,
+and takes the worst; worst_case_status and diff_report call it.  Within one
 diff_report a status table scores each distinct (scorer, v_support,
-mult_inf, mult_zero) once, and each envelope-group class once: the class,
-_class_key, is whether v0 is nonzero, whether (v1, v2) is, the sorted root
-masses and, for FullEnvelopeGroup, marked_mult.  Both groups keep v0 and the
-vanishing of (v1, v2) and move roots without changing their masses, so
-_placements reads nothing else of the point: the key is exact.  A scan stops
-at its first Unstable placement.
+mult_inf, mult_zero) once and each class once.  A scan stops at its first
+Unstable placement.
 
 diff_report makes one pass per profile over raw fields: per profile, the
 sorted root masses, classify_unipotent and the Borel, unipotent and SL(2)
-checks; per v-support (envelope._support_choices), the polytope engine's
-status (run once per class on its integer rows), the torus case list and
-the unipotent closed form; per marked root, the group closed form and its
-class's table entry.  The points' closed forms run on raw cores
-(envelope._group_case, _unipotent_worst, _torus_case), each through a
-binding of its own; no EnvPoint is built for a point but a row's subject.
+checks, each scored from a class key built without any point; per
+v-support (envelope._support_choices), the polytope engine's status (run
+once per class on its integer rows), the torus case list and the unipotent
+closed form; per marked root, the group closed form and its class's table
+entry.  The points' closed forms run on raw cores (envelope._group_case,
+_unipotent_worst, _torus_case), each through a binding of its own; no
+EnvPoint is built for a point but a row's subject.
 """
 
 from __future__ import annotations
@@ -114,6 +119,10 @@ class GroupKind(Enum):
     FULL_ENVELOPE_GROUP = "FullEnvelopeGroup"
     UNIPOTENT_ENVELOPE = "UnipotentEnvelope"
 
+    # members are singletons, so they hash by identity: Enum's own __hash__
+    # is a Python call, and every class key of a status table leads with one
+    __hash__ = object.__hash__
+
 
 class GroupMoveSet(_Record):
     __slots__ = ("group", "moves")
@@ -136,41 +145,39 @@ def _slot_pairs(masses: list[int]):
             yield a, b
 
 
-def _class_key(kind: GroupKind, v_support, masses: tuple, marked) -> tuple:
-    # a point's envelope-group class (module docstring) from its raw fields:
-    # masses its sorted root masses, marked its marked_mult
-    unipotent = kind is GroupKind.UNIPOTENT_ENVELOPE
-    return (unipotent, 0 in v_support, 1 in v_support or 2 in v_support,
-            masses, None if unipotent else marked)
-
-
 def _point_key(kind: GroupKind, p: EnvPoint) -> tuple:
-    return _class_key(kind, p.v_support, tuple(sorted(p.divisor.all_mults())), p.marked_mult)
+    """p's class key under kind: its GroupKind, then everything _placements
+    reads of p (module docstring), so equal keys reach equal placements."""
+    d, sup = p.divisor, p.v_support
+    if kind is GroupKind.TORUS_ONLY:
+        return (kind, sup, d.mult_inf, d.mult_zero, p.marked_mult)
+    if kind is GroupKind.BOREL:
+        if sup != _EMBEDDED_SUPPORT or p.marked_mult != d.mult_inf:
+            raise ValueError(
+                f"Borel moves are defined for embedded configurations, got {p}"
+            )
+        return (kind, d.mult_inf, tuple(sorted({0, d.mult_zero, *d.generic})))
+    if kind is not GroupKind.UNIPOTENT_ENVELOPE and kind is not GroupKind.FULL_ENVELOPE_GROUP:
+        raise ValueError(f"unknown group kind {kind!r}")
+    marked = p.marked_mult if kind is GroupKind.FULL_ENVELOPE_GROUP else None
+    return (kind, 0 in sup, 1 in sup or 2 in sup, tuple(sorted(d.all_mults())), marked)
 
 
-def _placements(kind: GroupKind, p: EnvPoint, key: tuple | None = None) -> list[tuple]:
-    """Every placement the group reaches from p, as raw
+def _placements(kind: GroupKind, key: tuple) -> list[tuple]:
+    """Every placement the group reaches from a point of class key, as raw
     (v_support, mult_inf, mult_zero, marked_mult) tuples.
 
     The one enumeration of the move rules: moves_for builds its EnvPoints
     from these tuples and the oracles score them without building any.
-    For the two envelope groups a given key, p's _class_key, is all that is
-    read, and p may be None.
     """
     if kind is GroupKind.TORUS_ONLY:
-        return [(p.v_support, p.divisor.mult_inf, p.divisor.mult_zero, p.marked_mult)]
+        return [key[1:]]
     if kind is GroupKind.BOREL:
-        d, sup = p.divisor, p.v_support
-        if sup != {0, 1} or p.marked_mult != d.mult_inf:
-            raise ValueError(
-                f"Borel moves are defined for embedded configurations, got {p}"
-            )
-        return [(sup, d.mult_inf, q, d.mult_inf) for q in sorted({0, d.mult_zero, *d.generic})]
-    if kind is not GroupKind.UNIPOTENT_ENVELOPE and kind is not GroupKind.FULL_ENVELOPE_GROUP:
-        raise ValueError(f"unknown group kind {kind!r}")
-    unipotent, v0, v12, masses, marked = key or _point_key(kind, p)
+        _, a, other_slot = key
+        return [(_EMBEDDED_SUPPORT, a, q, a) for q in other_slot]
+    _, v0, v12, masses, marked = key
     base = frozenset({0} if v0 else ())
-    if unipotent:
+    if kind is GroupKind.UNIPOTENT_ENVELOPE:
         vcases = [base | {1}, base | {2}, base | {1, 2}] if v12 else [base]
         # the marked root is irrelevant to the 1-D weights; any coherent
         # value will do, and 0 is one whenever v1 and v2 are both nonzero
@@ -202,34 +209,27 @@ def moves_for(kind: GroupKind, p: EnvPoint) -> GroupMoveSet:
         kind,
         tuple(
             EnvPoint(sup, Divisor(d.n, a, b, _remove_one(_remove_one(masses, a), b)), marked)
-            for sup, a, b, marked in _placements(kind, p)
+            for sup, a, b, marked in _placements(kind, _point_key(kind, p))
         ),
     )
 
 
-def _class_worst(kind: GroupKind, p: EnvPoint | None, lin: LinParam | None, seen: dict,
-                 key: tuple | None = None) -> Status:
-    """Worst status over the placements kind reaches from p: the one
-    placement scorer of this module.
+def _class_worst(kind: GroupKind, key: tuple, n: int, lin: LinParam | None,
+                 seen: dict) -> Status:
+    """Worst status over the placements kind reaches from class key, at
+    degree n: the one placement scorer of this module.
 
     seen is one report's status table, for one degree and one linearisation
-    ({} scores a single point).  It keys each placement's status by
+    ({} scores a single class).  It keys each placement's status by
     (unipotent, v_support, mult_inf, mult_zero), the flag naming the scorer,
-    and each UnipotentEnvelope or FullEnvelopeGroup class's worst case by
-    its _class_key.  That key is exact, since _placements reads nothing else
-    of p, so a caller that gives it as key passes None for p.  The scan stops
-    at the first Unstable placement: nothing is worse, and neither scorer
-    raises, so the placements it skips change nothing.
+    and each class's worst case by its key, which leads with its GroupKind.
+    The scan stops at the first Unstable placement: nothing is worse, and
+    neither scorer raises, so the placements it skips change nothing.
     """
-    if key is None and kind in (GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP):
-        key = _point_key(kind, p)
-    if key:
-        got = seen.get(key)
-        if got is not None:
-            return got
+    got = seen.get(key)
+    if got is not None:
+        return got
     unipotent = kind is GroupKind.UNIPOTENT_ENVELOPE
-    placements = _placements(kind, p, key)
-    n = sum(key[3]) if key else p.divisor.n  # a class's root masses sum to n
     if unipotent:
         score, args = _unipotent_case, (n,)
     elif lin is None:
@@ -237,7 +237,7 @@ def _class_worst(kind: GroupKind, p: EnvPoint | None, lin: LinParam | None, seen
     else:
         score, args = _torus_case, (n, lin.m, lin.r)
     status = Status.STABLE
-    for sup, a, b, _ in placements:
+    for sup, a, b, _ in _placements(kind, key):
         placement = (unipotent, sup, a, b)
         got = seen.get(placement)
         if got is None:
@@ -246,8 +246,7 @@ def _class_worst(kind: GroupKind, p: EnvPoint | None, lin: LinParam | None, seen
             status = got
             if got is Status.UNSTABLE:
                 break
-    if key:
-        seen[key] = status
+    seen[key] = status
     return status
 
 
@@ -255,15 +254,7 @@ def worst_case_status(d: Divisor, lin: LinParam | None, group: GroupKind) -> Sta
     """Minimum per-placement torus status over the group's moves of the
     embedded configuration.  This is the oracle the closed forms must match.
     """
-    return _class_worst(group, embed_divisor(d), lin, {})
-
-
-def _sl2_placement_status(d: Divisor, seen: dict, masses: tuple | None = None) -> Status:
-    # independent check for classify_sl2: the SL(2) weights 2i - n over all
-    # slot placements are the UnipotentEnvelope weights at v = [1:0:0]
-    kind = GroupKind.UNIPOTENT_ENVELOPE
-    key = _class_key(kind, {0}, masses or tuple(sorted(d.all_mults())), None)
-    return _class_worst(kind, None, None, seen, key)
+    return _class_worst(group, _point_key(group, embed_divisor(d)), d.n, lin, {})
 
 
 class DiffRow(_Record):
@@ -284,21 +275,14 @@ class DiffReport(_Record):
         return not self.rows
 
 
-def diff_report(
-    n: int,
-    lin: LinParam,
-    classify_borel_fn=None,
-    max_n: int = DEFAULT_MAX_CENSUS_N,
-) -> DiffReport:
+def diff_report(n: int, lin: LinParam, max_n: int = DEFAULT_MAX_CENSUS_N) -> DiffReport:
     """Diff every closed-form classifier against its brute-force counterpart.
 
-    Empty on success.  classify_borel_fn exists so the test harness can
-    inject a deliberately broken classifier and confirm the diff catches it.
+    Empty on success.
     """
-    borel_fn = classify_borel_fn or classify_borel
     census = enumerate_profiles(n, max_n)
     m, r = lin.m, lin.r
-    unip, full = GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP
+    borel, unip, full = GroupKind.BOREL, GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP
     # placement classes scored so far, for this report's linearisation only
     seen: dict = {}
     # polytope engine status per polytope class; every class occurs below
@@ -315,30 +299,35 @@ def diff_report(
 
     for d in census:
         checked += 1
+        a, b = d.mult_inf, d.mult_zero
         masses = tuple(sorted(d.all_mults()))
+        # class keys built as _point_key builds them: Borel's of the embedded
+        # point, the unipotent ones at v = [1:1:0] and, for the SL(2) weights
+        # 2i - n over all slot placements, at v = [1:0:0]
         record(rows, d, (
             ("borel closed form vs Borel placements",
-             _class_worst(GroupKind.BOREL, embed_divisor(d), lin, seen), borel_fn(d, lin)),
+             _class_worst(borel, (borel, a, tuple(sorted({0, b, *d.generic}))), n, lin, seen),
+             classify_borel(d, lin)),
             ("unipotent closed form vs SL(2) placements",
-             _class_worst(unip, None, None, seen,
-                          _class_key(unip, _EMBEDDED_SUPPORT, masses, None)),
+             _class_worst(unip, (unip, True, True, masses, None), n, None, seen),
              classify_unipotent(d)),
             ("sl2 closed form vs slot placements",
-             _sl2_placement_status(d, seen, masses), classify_sl2(d)),
+             _class_worst(unip, (unip, True, False, masses, None), n, None, seen),
+             classify_sl2(d)),
         ))
         # d's completion points, by v-support then marked root; each value is
         # computed in the outermost loop that fixes all of its arguments
-        a, b, top = d.mult_inf, d.mult_zero, masses[-1]  # top: d.max_mult()
+        top = masses[-1]  # d.max_mult()
         profile_unip = _point_unipotent(d)
         for sup, choices in _support_choices(d):
-            unip_worst = _class_worst(unip, None, None, seen, _class_key(unip, sup, masses, None))
+            v0, v12 = 0 in sup, 1 in sup or 2 in sup
+            unip_worst = _class_worst(unip, (unip, v0, v12, masses, None), n, None, seen)
             unip_closed = _unipotent_worst(sup, profile_unip)
             engine_status = engine[sup, a, b]
             torus = _torus_case_list(sup, a, b, n, m, r)
             for marked in choices:
                 checked += 1
-                group_worst = _class_worst(full, None, lin, seen,
-                                           _class_key(full, sup, masses, marked))
+                group_worst = _class_worst(full, (full, v0, v12, masses, marked), n, lin, seen)
                 group = _group_case(sup, marked, top, n, m, r)
                 if group_worst != group or unip_worst != unip_closed or engine_status != torus:
                     # the one EnvPoint built for a point: an emitted row's subject

@@ -157,13 +157,16 @@ class TestWorstCaseStatus:
                 assert worst_case_status(d, None, GroupKind.UNIPOTENT_ENVELOPE) is classify_unipotent(d)
 
     def test_sl2_closed_form_against_placement_scan(self):
-        # SL(2) baseline has no completion factor: scan placements directly
-        from nrgit.oracle import _sl2_placement_status
+        # SL(2) baseline has no completion factor: scan placements directly;
+        # the SL(2) weights 2i - n are the UnipotentEnvelope weights at v = [1:0:0]
+        from nrgit.oracle import _class_worst, _point_key
 
+        unip = GroupKind.UNIPOTENT_ENVELOPE
         for n in range(1, 9):
             seen = {}  # shared by every profile of the degree, as in diff_report
             for d in enumerate_profiles(n):
-                assert _sl2_placement_status(d, seen) is classify_sl2(d)
+                key = _point_key(unip, EnvPoint({0}, d))
+                assert _class_worst(unip, key, n, None, seen) is classify_sl2(d)
 
     def test_lin_required_for_torus_scores(self):
         with pytest.raises(ValueError, match="linearisation"):
@@ -172,10 +175,10 @@ class TestWorstCaseStatus:
 
 class TestCensusPath:
     def test_class_scoring_matches_public_statuses(self):
-        # diff_report scores each placement class once, from raw slot masses;
+        # diff_report scores each placement class once, from its class key;
         # per point, kind and slope that must equal the worst public status
         # over the point's EnvPoint moves
-        from nrgit.oracle import _class_worst
+        from nrgit.oracle import _class_worst, _point_key
 
         unip = GroupKind.UNIPOTENT_ENVELOPE
         for n in range(1, 7):
@@ -186,7 +189,7 @@ class TestCensusPath:
                         movesets[p, kind] = moves_for(kind, p).moves
                     except ValueError:
                         with pytest.raises(ValueError):
-                            _class_worst(kind, p, LinParam(1, 0), {})
+                            _point_key(kind, p)
             unip_want = {
                 p: min(unipotent_case_status(q, n) for q in moves)
                 for (p, kind), moves in movesets.items()
@@ -197,11 +200,12 @@ class TestCensusPath:
                 params = EnvParams(n, lin)
                 seen = {}
                 for (p, kind), moves in movesets.items():
+                    key = _point_key(kind, p)
                     if kind is unip:
-                        got = _class_worst(kind, p, None, seen)
+                        got = _class_worst(kind, key, n, None, seen)
                         want = unip_want[p]
                     else:
-                        got = _class_worst(kind, p, lin, seen)
+                        got = _class_worst(kind, key, n, lin, seen)
                         want = min(torus_case_status(q, params) for q in moves)
                     assert got is want, (str(p), kind, lin)
 
@@ -254,6 +258,7 @@ class TestDiffReport:
     @pytest.mark.parametrize(
         "closed_form, check",
         [
+            ("classify_borel", "borel closed form vs Borel placements"),
             ("classify_unipotent", "unipotent closed form vs SL(2) placements"),
             ("classify_sl2", "sl2 closed form vs slot placements"),
             ("group_status", "group closed form vs tied placements"),
@@ -313,12 +318,15 @@ class TestDiffReport:
         with pytest.raises(ValueError, match="unknown group kind"):
             worst_case_status(Divisor(3, 1, 0, (2,)), LinParam(1, 1), moveset)
 
-    def test_broken_classifier_is_caught_and_named(self):
+    def test_broken_classifier_is_caught_and_named(self, monkeypatch):
+        import nrgit.oracle as oracle
+
         def off_by_one(d, lin):
             s = classify_borel(d, lin)
             return Status(min(2, s + 1)) if s < 2 else Status.UNSTABLE
 
-        rep = diff_report(3, LinParam(1, 1), classify_borel_fn=off_by_one)
+        monkeypatch.setattr(oracle, "classify_borel", off_by_one)
+        rep = diff_report(3, LinParam(1, 1))
         assert not rep.ok
         assert any("borel" in row.check for row in rep.rows)
         subjects = {row.subject for row in rep.rows}
@@ -353,12 +361,15 @@ class TestReportPin:
         return Status.STRICTLY_SEMISTABLE if s is Status.STABLE else Status.STABLE
 
     @pytest.mark.parametrize("n", sorted(REPORT_SHA256))
-    def test_report_pinned(self, n):
+    def test_report_pinned(self, n, monkeypatch):
+        import nrgit.oracle as oracle
+
         got = []
-        for borel_fn in (None, self.swapped_borel):
+        for borel_fn in (classify_borel, self.swapped_borel):
+            monkeypatch.setattr(oracle, "classify_borel", borel_fn)
             digest = hashlib.sha256()
             for tau in tau_grid(n):
-                rep = diff_report(n, lin_for(tau), classify_borel_fn=borel_fn)
+                rep = diff_report(n, lin_for(tau))
                 digest.update(repr(rep).encode() + b"\n")
             got.append(digest.hexdigest())
         assert tuple(got) == self.REPORT_SHA256[n]
@@ -423,20 +434,36 @@ class TestPlacementTable:
     def test_class_key_is_all_the_envelope_placements_read(self):
         # a report scans one point per class key, so every point with that
         # key must reach the same placements; and the key holds exactly the
-        # group's invariants, v0 and the vanishing of (v1, v2), with the
-        # sorted root masses and, for FullEnvelopeGroup, the marked root
-        from nrgit.oracle import _class_key, _placements
+        # group's invariants: for the envelope groups v0 and the vanishing of
+        # (v1, v2), with the sorted root masses and, for FullEnvelopeGroup,
+        # the marked root; for Borel, on embedded points, the mass at [1:0]
+        # and the masses, 0 among them, that can be brought to [0:1]
+        from nrgit.oracle import _placements, _point_key
+
+        def reached(kind, p):
+            return {(q.v_support, q.divisor.mult_inf, q.divisor.mult_zero, q.marked_mult)
+                    for q in moves_for(kind, p).moves}
 
         for n in range(1, 8):
-            for kind in (GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP):
+            embedded = [embed_divisor(d) for d in enumerate_profiles(n)]
+            for kind in (GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP,
+                         GroupKind.BOREL):
                 placements, keys = {}, {}
-                for p in enumerate_env_points(n):
-                    sup, masses = p.v_support, tuple(sorted(p.divisor.all_mults()))
-                    key = _class_key(kind, sup, masses, p.marked_mult)
-                    want = placements.setdefault(key, _placements(kind, p))
-                    assert _placements(kind, p) == want, (str(p), kind)
-                    marked = p.marked_mult if kind is GroupKind.FULL_ENVELOPE_GROUP else None
-                    invariants = (0 in sup, bool(sup & {1, 2}), masses, marked)
+                for p in embedded if kind is GroupKind.BOREL else enumerate_env_points(n):
+                    key, d, sup = _point_key(kind, p), p.divisor, p.v_support
+                    assert key[0] is kind
+                    want = placements.setdefault(key, reached(kind, p))
+                    assert reached(kind, p) == want, (str(p), kind)
+                    if kind is GroupKind.BOREL:
+                        invariants = (d.mult_inf, frozenset({0, d.mult_zero, *d.generic}))
+                        # the Borel moves, read from the point itself
+                        assert set(_placements(kind, key)) == {
+                            (sup, d.mult_inf, q, d.mult_inf) for q in invariants[1]
+                        }, str(p)
+                    else:
+                        marked = p.marked_mult if kind is GroupKind.FULL_ENVELOPE_GROUP else None
+                        invariants = (0 in sup, bool(sup & {1, 2}),
+                                      tuple(sorted(d.all_mults())), marked)
                     assert keys.setdefault(invariants, key) == key, (str(p), kind)
                 # and distinct invariants never share a key
                 assert len(set(keys.values())) == len(keys), (n, kind)
@@ -447,29 +474,31 @@ class TestPlacementTable:
         calls = Counter()
         real = oracle._placements
 
-        def counted(kind, p, key=None):
-            calls[kind, key or p] += 1
-            return real(kind, p, key)
+        def counted(kind, key):
+            calls[key] += 1
+            return real(kind, key)
 
         monkeypatch.setattr(oracle, "_placements", counted)
         assert diff_report(4, LinParam(1, 2)).ok
-        # 138 enumerations when a class was keyed by the whole v-support
-        assert sum(calls.values()) == 70
+        # 138 enumerations when a class was keyed by the whole v-support, 70
+        # when Borel scanned each profile's embedded point unkeyed
+        assert sum(calls.values()) == 56
         assert max(calls.values()) == 1, calls.most_common(3)
 
     def test_table_keys_are_the_class_keys_of_the_points(self, monkeypatch):
         # one report's status table holds an entry per scored placement
-        # (scorer flag, v_support, mult_inf, mult_zero) and one per
-        # envelope-group class: exactly the _class_keys of the degree's points
+        # (scorer flag, v_support, mult_inf, mult_zero) and one per class:
+        # exactly the _point_keys of the degree's points under the envelope
+        # groups and of its embedded points under Borel
         import nrgit.oracle as oracle
-        from nrgit.oracle import _class_key
+        from nrgit.oracle import _point_key
 
         tables = []
         real = oracle._class_worst
 
-        def spy(kind, p, lin, seen, key=None):
+        def spy(kind, key, n, lin, seen):
             tables.append(seen)
-            return real(kind, p, lin, seen, key)
+            return real(kind, key, n, lin, seen)
 
         monkeypatch.setattr(oracle, "_class_worst", spy)
         for n in range(1, 7):
@@ -478,9 +507,9 @@ class TestPlacementTable:
             table = tables[0]
             assert all(seen is table for seen in tables)
             want = {
-                _class_key(kind, p.v_support, tuple(sorted(p.divisor.all_mults())), p.marked_mult)
+                _point_key(kind, p)
                 for p in enumerate_env_points(n)
                 for kind in (GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP)
-            }
-            classes = {key for key in table if not isinstance(key[1], frozenset)}
+            } | {_point_key(GroupKind.BOREL, embed_divisor(d)) for d in enumerate_profiles(n)}
+            classes = {key for key in table if isinstance(key[0], GroupKind)}
             assert classes == want, n
