@@ -20,24 +20,28 @@ Placement rules per group:
   UnipotentEnvelope  untwisted SL(2) placements with 1-D torus weights: slot
                      placements and v-cases vary independently.
 
-A placement is a raw (v_support, mult_inf, mult_zero, marked_mult) tuple,
-of which the scorers read the first three.  _placements enumerates them
-from a class key alone, and _point_key is the one route from a point to
-its key: the group kind, then all that the group's placements read of the
-point, so the key is exact.  TorusOnly's key is the point's own placement;
-Borel's, on an embedded point, is the mass at [1:0] and the sorted masses,
-0 among them, that can be brought to [0:1]; an envelope group's is whether
-v0 is nonzero, whether (v1, v2) is, the sorted root masses and, for
-FullEnvelopeGroup, marked_mult.  Both envelope groups keep v0 and the
+A placement is its polytope class, a raw (v_support, mult_inf, mult_zero)
+triple: all that envelope._torus_case and _unipotent_case read.
+_placements enumerates them from a class key alone, and _point_key is the
+one route from a point to its key: the group kind, then all that the
+group's placements read of the point, so the key is exact and names its
+group.  TorusOnly's key is the point's own placement; Borel's, on an
+embedded point, is the mass at [1:0] and the sorted masses, 0 among them,
+that can be brought to [0:1]; an envelope group's is whether v0 is
+nonzero, whether (v1, v2) is, the sorted root masses and, for
+FullEnvelopeGroup, the marked root.  Both envelope groups keep v0 and the
 vanishing of (v1, v2) and move roots without changing their masses.
 moves_for builds EnvPoints from the same enumeration, each move's generic
-roots being the point's root masses less the two slot masses.  One
-function, _class_worst, scores a class, by envelope._unipotent_case for
-UnipotentEnvelope and envelope._torus_case at the linearisation otherwise,
-and takes the worst; worst_case_status and diff_report call it.  Within one
-diff_report a status table scores each distinct (scorer, v_support,
-mult_inf, mult_zero) once and each class once.  A scan stops at its first
-Unstable placement.
+roots being the point's root masses less the two slot masses and its
+marked root the one its v-support forces or, at a generic [v1:v2], the
+point's own (0 under UnipotentEnvelope).  One function, _class_worst,
+scores a class, by envelope._unipotent_case for UnipotentEnvelope and
+envelope._torus_case at the linearisation otherwise, and takes the worst;
+worst_case_status and diff_report call it.  Within one diff_report a
+status table scores each distinct (scorer, v_support, mult_inf,
+mult_zero) once and each class once.  A scan stops at its first Unstable
+placement, and only FullEnvelopeGroup's placements come as a list: every
+other class yields them on demand, so such a scan builds none past it.
 
 diff_report makes one pass per profile over raw fields: per profile, the
 sorted root masses, classify_unipotent and the Borel, unipotent and SL(2)
@@ -150,7 +154,7 @@ def _point_key(kind: GroupKind, p: EnvPoint) -> tuple:
     reads of p (module docstring), so equal keys reach equal placements."""
     d, sup = p.divisor, p.v_support
     if kind is GroupKind.TORUS_ONLY:
-        return (kind, sup, d.mult_inf, d.mult_zero, p.marked_mult)
+        return (kind, sup, d.mult_inf, d.mult_zero)
     if kind is GroupKind.BOREL:
         if sup != _EMBEDDED_SUPPORT or p.marked_mult != d.mult_inf:
             raise ValueError(
@@ -163,81 +167,92 @@ def _point_key(kind: GroupKind, p: EnvPoint) -> tuple:
     return (kind, 0 in sup, 1 in sup or 2 in sup, tuple(sorted(d.all_mults())), marked)
 
 
-def _placements(kind: GroupKind, key: tuple) -> list[tuple]:
-    """Every placement the group reaches from a point of class key, as raw
-    (v_support, mult_inf, mult_zero, marked_mult) tuples.
+def _placements(key: tuple):
+    """Every placement the group key[0] reaches from a point of class key,
+    as raw (v_support, mult_inf, mult_zero) polytope classes.
 
     The one enumeration of the move rules: moves_for builds its EnvPoints
-    from these tuples and the oracles score them without building any.
+    from these triples and _class_worst scores them without building any.
+    Only FullEnvelopeGroup's come as a list; the others are yielded on
+    demand, so a scan that stops early builds no more of them.
+
+    Borel's empty slot, the placement with nothing at [0:1], never decides
+    its class's status.  Every Borel placement has v-support {0, 1}, where
+    _torus_case reads b = m(n - 2*mult_zero) only through -r <= b and
+    -r < b; so, mult_inf fixed, the status never rises as mult_zero grows.
+    The empty slot, mult_zero = 0, is thus never below the placement of the
+    point's own [0:1] mass, which the class always holds, and a move set
+    without it has the same worst status.
     """
+    kind = key[0]
     if kind is GroupKind.TORUS_ONLY:
-        return [key[1:]]
+        return (key[1:],)
     if kind is GroupKind.BOREL:
         _, a, other_slot = key
-        return [(_EMBEDDED_SUPPORT, a, q, a) for q in other_slot]
+        return ((_EMBEDDED_SUPPORT, a, q) for q in other_slot)
     _, v0, v12, masses, marked = key
     base = frozenset({0} if v0 else ())
     if kind is GroupKind.UNIPOTENT_ENVELOPE:
         vcases = [base | {1}, base | {2}, base | {1, 2}] if v12 else [base]
-        # the marked root is irrelevant to the 1-D weights; any coherent
-        # value will do, and 0 is one whenever v1 and v2 are both nonzero
-        return [
-            (case, a, b, _marked_choices(case, a, b, ())[0])
-            for case in vcases
-            for a, b in _slot_pairs(masses)
-        ]
+        return ((case, a, b) for case in vcases for a, b in _slot_pairs(masses))
     if not v12:
         # (v1, v2) = (0, 0) is preserved; only slot placements vary
-        return [(base, a, b, None) for a, b in _slot_pairs(masses)]
+        return ((base, a, b) for a, b in _slot_pairs(masses))
     others = _remove_one(masses, marked)
     other_slot = sorted({0, *others})
     return (
         # marked point sent to [1:0]
-        [(base | {1}, marked, q, marked) for q in other_slot]
+        [(base | {1}, marked, q) for q in other_slot]
         # marked point sent to [0:1]
-        + [(base | {2}, q, marked, marked) for q in other_slot]
+        + [(base | {2}, q, marked) for q in other_slot]
         # marked point kept generic: slots take non-marked roots
-        + [(base | {1, 2}, a, b, marked) for a, b in _slot_pairs(others)]
+        + [(base | {1, 2}, a, b) for a, b in _slot_pairs(others)]
     )
 
 
 def moves_for(kind: GroupKind, p: EnvPoint) -> GroupMoveSet:
     d = p.divisor
     masses = list(d.all_mults())
+    # the marked root of a move at a generic [v1:v2] is the point's own,
+    # but 0 under UnipotentEnvelope, whose 1-D weights never read it;
+    # any other v-support forces it
+    own = 0 if kind is GroupKind.UNIPOTENT_ENVELOPE else p.marked_mult
     # a move keeps the point's roots: generic ones are all but the slot masses
     return GroupMoveSet(
         kind,
         tuple(
-            EnvPoint(sup, Divisor(d.n, a, b, _remove_one(_remove_one(masses, a), b)), marked)
-            for sup, a, b, marked in _placements(kind, _point_key(kind, p))
+            EnvPoint(sup, Divisor(d.n, a, b, _remove_one(_remove_one(masses, a), b)),
+                     own if 1 in sup and 2 in sup else _marked_choices(sup, a, b, ())[0])
+            for sup, a, b in _placements(_point_key(kind, p))
         ),
     )
 
 
-def _class_worst(kind: GroupKind, key: tuple, n: int, lin: LinParam | None,
-                 seen: dict) -> Status:
-    """Worst status over the placements kind reaches from class key, at
-    degree n: the one placement scorer of this module.
+def _class_worst(key: tuple, n: int, lin: LinParam | None, seen: dict) -> Status:
+    """Worst status over the placements that the group key[0] reaches from
+    class key, at degree n: the one placement scorer of this module.
 
     seen is one report's status table, for one degree and one linearisation
-    ({} scores a single class).  It keys each placement's status by
-    (unipotent, v_support, mult_inf, mult_zero), the flag naming the scorer,
-    and each class's worst case by its key, which leads with its GroupKind.
-    The scan stops at the first Unstable placement: nothing is worse, and
-    neither scorer raises, so the placements it skips change nothing.
+    ({} scores a single class).  It keys each placement's status by the
+    flag naming the scorer, unipotent, and the placement's polytope class
+    (v_support, mult_inf, mult_zero), and each class's worst case by its
+    key, which leads with its GroupKind.  The scan stops at the first
+    Unstable placement: nothing is worse, and neither scorer raises, so the
+    placements it skips change nothing.  Only FullEnvelopeGroup's are built
+    before the scan; every other group's are drawn one at a time.
     """
     got = seen.get(key)
     if got is not None:
         return got
-    unipotent = kind is GroupKind.UNIPOTENT_ENVELOPE
+    unipotent = key[0] is GroupKind.UNIPOTENT_ENVELOPE
     if unipotent:
         score, args = _unipotent_case, (n,)
     elif lin is None:
-        raise ValueError(f"{kind.value} placements require a linearisation")
+        raise ValueError(f"{key[0].value} placements require a linearisation")
     else:
         score, args = _torus_case, (n, lin.m, lin.r)
     status = Status.STABLE
-    for sup, a, b, _ in _placements(kind, key):
+    for sup, a, b in _placements(key):
         placement = (unipotent, sup, a, b)
         got = seen.get(placement)
         if got is None:
@@ -254,7 +269,7 @@ def worst_case_status(d: Divisor, lin: LinParam | None, group: GroupKind) -> Sta
     """Minimum per-placement torus status over the group's moves of the
     embedded configuration.  This is the oracle the closed forms must match.
     """
-    return _class_worst(group, _point_key(group, embed_divisor(d)), d.n, lin, {})
+    return _class_worst(_point_key(group, embed_divisor(d)), d.n, lin, {})
 
 
 class DiffRow(_Record):
@@ -306,13 +321,13 @@ def diff_report(n: int, lin: LinParam, max_n: int = DEFAULT_MAX_CENSUS_N) -> Dif
         # 2i - n over all slot placements, at v = [1:0:0]
         record(rows, d, (
             ("borel closed form vs Borel placements",
-             _class_worst(borel, (borel, a, tuple(sorted({0, b, *d.generic}))), n, lin, seen),
+             _class_worst((borel, a, tuple(sorted({0, b, *d.generic}))), n, lin, seen),
              classify_borel(d, lin)),
             ("unipotent closed form vs SL(2) placements",
-             _class_worst(unip, (unip, True, True, masses, None), n, None, seen),
+             _class_worst((unip, True, True, masses, None), n, None, seen),
              classify_unipotent(d)),
             ("sl2 closed form vs slot placements",
-             _class_worst(unip, (unip, True, False, masses, None), n, None, seen),
+             _class_worst((unip, True, False, masses, None), n, None, seen),
              classify_sl2(d)),
         ))
         # d's completion points, by v-support then marked root; each value is
@@ -321,13 +336,13 @@ def diff_report(n: int, lin: LinParam, max_n: int = DEFAULT_MAX_CENSUS_N) -> Dif
         profile_unip = _point_unipotent(d)
         for sup, choices in _support_choices(d):
             v0, v12 = 0 in sup, 1 in sup or 2 in sup
-            unip_worst = _class_worst(unip, (unip, v0, v12, masses, None), n, None, seen)
+            unip_worst = _class_worst((unip, v0, v12, masses, None), n, None, seen)
             unip_closed = _unipotent_worst(sup, profile_unip)
             engine_status = engine[sup, a, b]
             torus = _torus_case_list(sup, a, b, n, m, r)
             for marked in choices:
                 checked += 1
-                group_worst = _class_worst(full, (full, v0, v12, masses, marked), n, lin, seen)
+                group_worst = _class_worst((full, v0, v12, masses, marked), n, lin, seen)
                 group = _group_case(sup, marked, top, n, m, r)
                 if group_worst != group or unip_worst != unip_closed or engine_status != torus:
                     # the one EnvPoint built for a point: an emitted row's subject

@@ -140,6 +140,23 @@ class TestWorstCaseStatus:
                 for d in census:
                     assert worst_case_status(d, lin, GroupKind.BOREL) is classify_borel(d, lin)
 
+    def test_borel_status_never_rises_with_the_mass_at_zero(self):
+        # _placements' docstring: every Borel placement has v-support {0, 1},
+        # where the torus status never rises as mult_zero grows, so the
+        # placement with nothing at [0:1] is never the worst of its class
+        from nrgit.envelope import _EMBEDDED_SUPPORT, _torus_case
+        from nrgit.oracle import _placements, _point_key
+
+        for n in range(1, 13):
+            keys = {_point_key(GroupKind.BOREL, embed_divisor(d)) for d in enumerate_profiles(n)}
+            assert {sup for key in keys for sup, _, _ in _placements(key)} == {_EMBEDDED_SUPPORT}
+            for m in (1, 2, 3, 7):
+                for r in range(-n * m - 1, n * m + 2):
+                    for a in range(n + 1):
+                        statuses = [_torus_case(_EMBEDDED_SUPPORT, a, q, n, m, r)
+                                    for q in range(n - a + 1)]
+                        assert statuses == sorted(statuses, reverse=True), (n, m, r, a)
+
     def test_full_group_oracle_matches_closed_form(self):
         for n in range(1, 6):
             for tau in (Fraction(0), Fraction(1, 2), Fraction(n), Fraction(n + 1)):
@@ -166,7 +183,7 @@ class TestWorstCaseStatus:
             seen = {}  # shared by every profile of the degree, as in diff_report
             for d in enumerate_profiles(n):
                 key = _point_key(unip, EnvPoint({0}, d))
-                assert _class_worst(unip, key, n, None, seen) is classify_sl2(d)
+                assert _class_worst(key, n, None, seen) is classify_sl2(d)
 
     def test_lin_required_for_torus_scores(self):
         with pytest.raises(ValueError, match="linearisation"):
@@ -202,10 +219,10 @@ class TestCensusPath:
                 for (p, kind), moves in movesets.items():
                     key = _point_key(kind, p)
                     if kind is unip:
-                        got = _class_worst(kind, key, n, None, seen)
+                        got = _class_worst(key, n, None, seen)
                         want = unip_want[p]
                     else:
-                        got = _class_worst(kind, key, n, lin, seen)
+                        got = _class_worst(key, n, lin, seen)
                         want = min(torus_case_status(q, params) for q in moves)
                     assert got is want, (str(p), kind, lin)
 
@@ -431,6 +448,31 @@ class TestPlacementTable:
             assert counter, name
             assert max(counter.values()) == 1, (name, counter.most_common(3))
 
+    def test_scan_builds_only_what_it_scores(self, monkeypatch):
+        # a placement carries no marked root, and a scan draws slot pairs only
+        # until its class's first Unstable placement: 182 _marked_choices
+        # calls and 310 draws when every placement was built before its scan
+        import nrgit.oracle as oracle
+
+        calls = Counter()
+        for name in ("_marked_choices", "_torus_case", "_unipotent_case"):
+            def counted(*args, real=getattr(oracle, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+
+        def drawn(masses, real=oracle._slot_pairs):
+            for pair in real(masses):
+                calls["_slot_pairs"] += 1
+                yield pair
+
+        monkeypatch.setattr(oracle, "_slot_pairs", drawn)
+        assert diff_report(4, LinParam(1, 2)).ok
+        got = tuple(calls[name] for name in
+                    ("_marked_choices", "_slot_pairs", "_torus_case", "_unipotent_case"))
+        assert got == (0, 190, 39, 44)
+
     def test_class_key_is_all_the_envelope_placements_read(self):
         # a report scans one point per class key, so every point with that
         # key must reach the same placements; and the key holds exactly the
@@ -457,8 +499,8 @@ class TestPlacementTable:
                     if kind is GroupKind.BOREL:
                         invariants = (d.mult_inf, frozenset({0, d.mult_zero, *d.generic}))
                         # the Borel moves, read from the point itself
-                        assert set(_placements(kind, key)) == {
-                            (sup, d.mult_inf, q, d.mult_inf) for q in invariants[1]
+                        assert set(_placements(key)) == {
+                            (sup, d.mult_inf, q) for q in invariants[1]
                         }, str(p)
                     else:
                         marked = p.marked_mult if kind is GroupKind.FULL_ENVELOPE_GROUP else None
@@ -474,9 +516,9 @@ class TestPlacementTable:
         calls = Counter()
         real = oracle._placements
 
-        def counted(kind, key):
+        def counted(key):
             calls[key] += 1
-            return real(kind, key)
+            return real(key)
 
         monkeypatch.setattr(oracle, "_placements", counted)
         assert diff_report(4, LinParam(1, 2)).ok
@@ -496,9 +538,9 @@ class TestPlacementTable:
         tables = []
         real = oracle._class_worst
 
-        def spy(kind, key, n, lin, seen):
+        def spy(key, n, lin, seen):
             tables.append(seen)
-            return real(kind, key, n, lin, seen)
+            return real(key, n, lin, seen)
 
         monkeypatch.setattr(oracle, "_class_worst", spy)
         for n in range(1, 7):
