@@ -33,8 +33,10 @@ from .polytope import (
     Weight2,
     WeightSet,
     _Record,
+    _certified_n,
     _eventual_sign,
     _locate_points,
+    _locate_sorted,
     contains_origin,  # not called here; perfbench's tracer test wraps this binding
 )
 
@@ -169,6 +171,34 @@ def _class_rows(key: tuple, n: int, m: int, r: int) -> list[tuple]:
     v_support, mult_inf, mult_zero = key
     ends = sorted({mult_inf, n - mult_zero})
     return [_fixed_row(j, i, n, m, r) for j in sorted(v_support) for i in ends]
+
+
+def _engine_table(n: int, m: int, r: int) -> tuple[int, dict]:
+    """The polytope engine's status of every polytope class of degree n at
+    slope r/m, and the one N it reads them all at: B = _certified_n of every
+    fixed row, 24*max(1, mn, |r|)^2 + 1.
+
+    The 3(n+1) fixed rows are evaluated once, at B, and each class reads
+    its points (its v-support times the two ends of its monomial interval)
+    off that grid and hands them to the hull body.  Why B decides each
+    class as _locate(_class_rows(key, n, m, r)) does: a class's rows are
+    some of the fixed rows, so their largest |entry| M is at most the
+    grid's, and B is at least the class's own certified N.  _locate's proof
+    bounds every real root of each sign the body reads below that N, and
+    every difference of entries below it, so the body takes the same steps
+    at every N from there on, B included.
+    """
+    rows = _fixed_rows(n, m, r)
+    b = _certified_n([row for _, _, row in rows])
+    grid = [(ax * b + bx, ay * b + by) for _, _, (ax, bx, ay, by) in rows]
+    k = n + 1  # the rows are family-major: ([e_j], [x^(n-i) y^i]) is row j*k + i
+    table = {}
+    for key in _polytope_classes(n):
+        v_support, mult_inf, mult_zero = key
+        ends = (mult_inf, n - mult_zero)
+        pts = sorted({grid[j * k + i] for j in v_support for i in ends})
+        table[key] = _LOCATION_TO_STATUS[_locate_sorted(pts)]
+    return b, table
 
 
 def torus_case_status(p: EnvPoint, params: EnvParams) -> Status:

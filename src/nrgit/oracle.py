@@ -46,10 +46,11 @@ other class yields them on demand, so such a scan builds none past it.
 diff_report makes one pass per profile over raw fields: per profile, the
 sorted root masses, classify_unipotent and the Borel, unipotent and SL(2)
 checks, each scored from a class key built without any point; per
-v-support (envelope._support_choices), the polytope engine's status (run
-once per class on its integer rows), the torus case list and the unipotent
-closed form; per marked root, the group closed form and its class's table
-entry.  The points' closed forms run on raw cores (envelope._group_case,
+v-support (envelope._support_choices), the polytope engine's status (one
+table per report, envelope._engine_table: every class read off one grid of
+the fixed points), the torus case list and the unipotent closed form; per
+marked root, the group closed form and its class's table entry.  The
+points' closed forms run on raw cores (envelope._group_case,
 _unipotent_worst, _torus_case), each through a binding of its own; no
 EnvPoint is built for a point but a row's subject.
 """
@@ -70,10 +71,9 @@ from .binary_forms import (
 from .envelope import (
     _EMBEDDED_SUPPORT,
     EnvPoint,
-    _class_rows,
+    _engine_table,
     _group_case,
     _marked_choices,
-    _polytope_classes,
     _support_choices,
     _torus_case,
     _unipotent_case,
@@ -83,8 +83,8 @@ from .envelope import (
 # the completion-point checks' own bindings, apart from the profile check's and the scorer's
 from .binary_forms import classify_unipotent as _point_unipotent
 from .envelope import _torus_case as _torus_case_list
-from .hilbert_mumford import _LOCATION_TO_STATUS, Status
-from .polytope import _Record, _locate
+from .hilbert_mumford import Status
+from .polytope import _Record
 
 DEFAULT_MAX_CENSUS_N = 12
 
@@ -301,8 +301,7 @@ def diff_report(n: int, lin: LinParam, max_n: int = DEFAULT_MAX_CENSUS_N) -> Dif
     # placement classes scored so far, for this report's linearisation only
     seen: dict = {}
     # polytope engine status per polytope class; every class occurs below
-    engine = {key: _LOCATION_TO_STATUS[_locate(_class_rows(key, n, m, r))]
-              for key in _polytope_classes(n)}
+    engine = _engine_table(n, m, r)[1]
     rows: list[DiffRow] = []
     point_rows: list[DiffRow] = []
     checked = 0

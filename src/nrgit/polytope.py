@@ -16,10 +16,14 @@ A weight is read as its row (a_x, b_x, a_y, b_y) of coefficients (_row), and
 _dot is the one large-N dot product of two rows.  contains_origin scales its
 rows once by the LCM of their denominators (a positive dilation leaves the
 origin's location unchanged) and hands the plain integers to _locate.
-_locate_points, the one hull body, reads rows at a given N, builds the
-monotone-chain hull of the points and reads the verdict off the signs of its
-edges in one pass: _locate gives it the certified N = B, the concrete path
-(envelope._concrete_status) the N being studied.
+_locate_sorted, the one hull body, builds the monotone-chain hull of sorted
+distinct points and reads the verdict off the signs of its edges in one
+pass.  _locate_points reads rows at a given N and hands their points to it:
+_locate gives it the certified N = B, the concrete path
+(envelope._concrete_status) the N being studied.  The census engine check
+(envelope._engine_table) reads every fixed row once, at the certified N of
+all of them, and hands each polytope class's points off that grid to the
+body.
 """
 
 from __future__ import annotations
@@ -275,12 +279,14 @@ def contains_origin(S: WeightSet) -> OriginLocation:
     INTERIOR means the topological interior inside the ambient plane, so
     lower-dimensional hulls (segments, points) are at best BOUNDARY.
 
-    The weights are scaled to integers for _locate, which the census engine
-    check calls directly on the integer rows of each polytope class
-    (envelope._class_rows).  _locate hands the rows and its certified N = B
-    to _locate_points, the one hull body, which concrete_torus_case_status
-    reaches with the same rows and a concrete N (envelope._concrete_status).
-    The body reads the rows at its N, builds their ccw hull once, and one
+    The weights are scaled to integers for _locate, which reads the rows at
+    its certified N = B (_locate_points) and hands their points to
+    _locate_sorted, the one hull body.  concrete_torus_case_status reaches
+    the body with a class's rows and a concrete N
+    (envelope._concrete_status); the census engine check
+    (envelope._engine_table) with each polytope class's points, read off
+    one grid of all the fixed rows at an N no smaller than the class's own
+    certified N.  The body builds the ccw hull of the points once, and one
     pass over its edges decides: outside if the origin is strictly right of
     an edge, boundary if on an edge's line, else interior.
     """
@@ -300,7 +306,7 @@ def _locate(rows: list[tuple]) -> OriginLocation:
     where M is the largest |entry| of the rows.
 
     Why B decides as every larger N does: at N = B the rows become the
-    points (a_x*B + b_x, a_y*B + b_y), and _locate_points reads nothing of
+    points (a_x*B + b_x, a_y*B + b_y), and the hull body reads nothing of
     them but their order, their equality with each other and with the
     origin, and signs of cross products (p - o) x (q - o) and of one dot
     product p . q, among the points and the origin.
@@ -337,10 +343,16 @@ def _chain(points: list[tuple]) -> list[tuple]:
 
 
 def _locate_points(rows: list[tuple], n_value: Rational) -> OriginLocation:
-    # the one hull body: the origin against the hull of nonempty rows read
-    # at N = n_value > 0 (Fractions when n_value is one); collinear points
-    # are dropped, so three or more hull vertices form a strictly convex ccw polygon
+    # nonempty rows read at N = n_value > 0 (Fractions when n_value is one),
+    # as the sorted distinct points the hull body takes
     pts = sorted({(ax * n_value + bx, ay * n_value + by) for ax, bx, ay, by in rows})
+    return _locate_sorted(pts)
+
+
+def _locate_sorted(pts: list[tuple]) -> OriginLocation:
+    # the one hull body: the origin against the hull of nonempty, sorted,
+    # distinct points; collinear points are dropped, so three or more hull
+    # vertices form a strictly convex ccw polygon
     if len(pts) > 2:
         pts = _chain(pts)[:-1] + _chain(pts[::-1])[:-1]
     if len(pts) == 1:

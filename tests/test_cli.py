@@ -447,14 +447,14 @@ PARSER_CORPUS = [
 ]
 
 
-class TestParserPerCommand:
+class TestArgparseBoundLines:
     def test_bare_nrgit_names_the_missing_command(self, capsys):
         # the full parser keeps argparse's own metavar for this message
         code, out, err = run(capsys)
         assert (code, out) == (2, "")
         assert err.endswith("error: the following arguments are required: cmd\n")
 
-    def test_main_builds_the_named_command_only(self, capsys, monkeypatch):
+    def test_clean_lines_build_no_parser_and_the_others_the_full_one(self, capsys, monkeypatch):
         # a clean line is answered from the option table; argparse, with
         # every command, is built only for the lines the scanner leaves to it
         built = []

@@ -36,10 +36,11 @@ from nrgit import (
 )
 
 from nrgit.envelope import (
-    _class_rows, _concrete_status, _polytope_class, _polytope_classes, _torus_case,
+    _class_rows, _concrete_status, _engine_table, _polytope_class, _polytope_classes,
+    _torus_case,
 )
 from nrgit.hilbert_mumford import _LOCATION_TO_STATUS
-from nrgit.polytope import _certified_n, _integer_weights
+from nrgit.polytope import _certified_n, _integer_weights, _locate
 
 from helpers import (
     hull_polygon, lin_for, n_threshold_by_points, N_STAR, scaled_minkowski, tau_grid,
@@ -194,6 +195,22 @@ class TestPointPolytope:
             classes = _polytope_classes(n)
             assert len(classes) == len(set(classes)) == 7 * (n + 1) * (n + 2) // 2
             assert set(classes) == set(map(_polytope_class, enumerate_env_points(n))), n
+
+    def test_engine_table_is_the_per_class_route(self):
+        # the one grid decides every class as _locate on the class's own rows
+        # does, and reads it at an N no smaller than the class's certified N
+        # (matching verdicts alone would not show that: a grid read at
+        # N = M + 1 matches on this whole range)
+        slopes = {(n, m, r) for n in range(1, 9) for m in (1, 2, 3)
+                  for r in range(-n * m - 1, n * m + 2)}
+        slopes |= {(n, lin_for(tau).m, lin_for(tau).r) for n in range(1, 13) for tau in tau_grid(n)}
+        for n, m, r in sorted(slopes):
+            b, table = _engine_table(n, m, r)
+            assert list(table) == _polytope_classes(n)
+            for key, status in table.items():
+                rows = _class_rows(key, n, m, r)
+                assert status == _LOCATION_TO_STATUS[_locate(rows)], (n, m, r, key)
+                assert b >= _certified_n(rows), (n, m, r, key)
 
     def test_degree_mismatch_rejected(self):
         p = EnvPoint({0}, Divisor(3, 0, 0, (3,)))

@@ -304,9 +304,10 @@ class TestDiffReport:
 
     def test_engine_rows_cover_every_point_of_a_class(self, monkeypatch):
         # the polytope engine runs once per polytope class, but a wrong
-        # verdict must name every point of the class
-        import nrgit.oracle as oracle
-        from nrgit.envelope import _class_rows, _polytope_class
+        # verdict must name every point of the class; the engine table hands
+        # each class's points, read at its one N, to the hull body
+        import nrgit.envelope as envelope
+        from nrgit.envelope import _class_rows, _engine_table, _polytope_class
 
         n, lin = 3, LinParam(1, 1)
         classes = {}
@@ -314,18 +315,20 @@ class TestDiffReport:
             classes.setdefault(_polytope_class(p), []).append(p)
         members = max(classes.values(), key=len)
         assert len(members) > 1
-        bad = _class_rows(_polytope_class(members[0]), n, lin.m, lin.r)
-        real = oracle._locate
+        b = _engine_table(n, lin.m, lin.r)[0]
+        rows = _class_rows(_polytope_class(members[0]), n, lin.m, lin.r)
+        bad = sorted({(ax * b + bx, ay * b + by) for ax, bx, ay, by in rows})
+        real = envelope._locate_sorted
 
-        def mislocate(rows):
-            got = real(rows)
-            if rows != bad:
+        def mislocate(pts):
+            got = real(pts)
+            if pts != bad:
                 return got
             if got is OriginLocation.OUTSIDE:
                 return OriginLocation.INTERIOR
             return OriginLocation.OUTSIDE
 
-        monkeypatch.setattr(oracle, "_locate", mislocate)
+        monkeypatch.setattr(envelope, "_locate_sorted", mislocate)
         rep = diff_report(n, lin)
         assert [row.subject for row in rep.rows] == [str(p) for p in members]
         assert {row.check for row in rep.rows} == {"torus case list vs polytope engine"}
