@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from fractions import Fraction
 
 from .hilbert_mumford import Status, _status
-from .polytope import _Record
+from .polytope import _Record, _fraction
 
 
 class Divisor(_Record):
@@ -86,7 +85,7 @@ class LinParam(_Record):
 
     @property
     def tau(self) -> Fraction:
-        return Fraction(self.r, self.m)
+        return _fraction()(self.r, self.m)
 
     def __str__(self):
         return f"(m={self.m}, r={self.r})"

@@ -14,12 +14,11 @@ flips and diagram, whose output grows with n, refuse n above 100000.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
+import math
 import os
 import sys
-from fractions import Fraction
+from types import SimpleNamespace
 
 from .binary_forms import (
     Divisor,
@@ -39,7 +38,7 @@ from .envelope import (
     unipotent_status,
 )
 from .oracle import DEFAULT_MAX_CENSUS_N, diff_report
-from .polytope import _affine_text
+from .polytope import _affine_text, _fraction
 from .vgit import WallKind, chamber_profile, flip_data, walls
 
 _DEGREE_CEILING = 100_000  # the largest n of weights, walls, flips and diagram
@@ -57,7 +56,7 @@ def _census_guard() -> int:
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _fraction()(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"expected a rational p/q, got {text!r}")
 
@@ -99,7 +98,6 @@ def parse_profile(text: str, n: int) -> Divisor:
     return Divisor(n, fields.get("inf", 0), fields.get("zero", 0), fields.get("roots", ()))
 
 
-_quote = json.encoder.encode_basestring_ascii  # json's own C string encoder
 _CONTAINERS = (dict, list, tuple)
 
 
@@ -107,36 +105,43 @@ def _json(value, indent: str) -> str:
     """The bytes of `json.dumps(value, indent=2, sort_keys=True)` for a report
     value (str keys), nested at `indent`, without json's pure-Python encoder,
     which an indent selects."""
-    if isinstance(value, _CONTAINERS):
-        if not value:
-            return "{}" if isinstance(value, dict) else "[]"
-        inner = indent + "  "
-        sep = ",\n" + inner
-        # str and exact int items inline, with no call each: the bulk of a
-        # large report; an exact int formats as int.__repr__ does
-        if isinstance(value, dict):
+    import json  # here alone: only --format json needs it
+
+    quote = json.encoder.encode_basestring_ascii  # json's own C string encoder
+
+    def write(value, indent: str) -> str:
+        if isinstance(value, _CONTAINERS):
+            if not value:
+                return "{}" if isinstance(value, dict) else "[]"
+            inner = indent + "  "
+            sep = ",\n" + inner
+            # str and exact int items inline, with no call each: the bulk of
+            # a large report; an exact int formats as int.__repr__ does
+            if isinstance(value, dict):
+                body = sep.join([
+                    f"{quote(k)}: "
+                    f"{quote(v) if type(v) is str else v if type(v) is int else write(v, inner)}"
+                    for k, v in sorted(value.items())
+                ])
+                return f"{{\n{inner}{body}\n{indent}}}"
             body = sep.join([
-                f"{_quote(k)}: "
-                f"{_quote(v) if type(v) is str else v if type(v) is int else _json(v, inner)}"
-                for k, v in sorted(value.items())
+                quote(v) if type(v) is str else f"{v}" if type(v) is int else write(v, inner)
+                for v in value
             ])
-            return f"{{\n{inner}{body}\n{indent}}}"
-        body = sep.join([
-            _quote(v) if type(v) is str else f"{v}" if type(v) is int else _json(v, inner)
-            for v in value
-        ])
-        return f"[\n{inner}{body}\n{indent}]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return json.dumps(value)
+            return f"[\n{inner}{body}\n{indent}]"
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, str):
+            return quote(value)
+        if isinstance(value, int):
+            return int.__repr__(value)
+        return json.dumps(value)
+
+    return write(value, indent)
 
 
 def _flatten(prefix: str, value, lines: list[str]):
@@ -168,20 +173,30 @@ def emit_report(command: str, inputs: dict, result: dict, notes: list[str], fmt:
     return "\n".join(lines) + "\n"
 
 
+def _ratio_text(num: int, den: int) -> str:
+    # str(Fraction(num, den)) for den > 0, without building the Fraction
+    g = math.gcd(num, den)
+    return f"{num // g}" if g == den else f"{num // g}/{den // g}"
+
+
+def _thresholds(n: int, m: int, r: int) -> dict:
+    # (n -+ tau)/2 at tau = r/m, that is (nm -+ r)/(2m), in lowest terms
+    return {
+        "inf_bound": _ratio_text(n * m - r, 2 * m),
+        "other_bound": _ratio_text(n * m + r, 2 * m),
+    }
+
+
 def cmd_classify(args) -> int:
     d = parse_profile(args.profile, args.n)
     lin = LinParam(args.m, args.r)
     params = EnvParams(args.n, lin)
     p = embed_divisor(d)
-    tau = lin.tau
     result = {
         "status_h": classify_borel(d, lin).label,
         "status_sl2": classify_sl2(d).label,
         "status_u": classify_unipotent(d).label,
-        "thresholds": {
-            "inf_bound": str(Fraction(args.n - tau, 2)),
-            "other_bound": str(Fraction(args.n + tau, 2)),
-        },
+        "thresholds": _thresholds(args.n, args.m, args.r),
         "envelope": {
             "group": group_status(p, params).label,
             "torus": torus_case_status(p, params).label,
@@ -402,18 +417,27 @@ def cmd_diagram(args) -> int:
     return 0
 
 
-# argparse names the type function in a usage error ("invalid degree value")
+def _argparse():
+    # argparse, imported on first use: a clean line needs no parser, so only
+    # help, usage errors and a refused value reach it
+    import argparse
+
+    return argparse
+
+
+# argparse names the type function in a usage error ("invalid degree value"),
+# and prints an ArgumentTypeError's own message
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+        raise _argparse().ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
 
 
 def degree(text: str) -> int:
     value = positive_int(text)
     if value > _DEGREE_CEILING:
-        raise argparse.ArgumentTypeError(f"degree {value} exceeds the ceiling {_DEGREE_CEILING}")
+        raise _argparse().ArgumentTypeError(f"degree {value} exceeds the ceiling {_DEGREE_CEILING}")
     return value
 
 
@@ -445,7 +469,7 @@ _COMMANDS = (
 
 def build_parser() -> argparse.ArgumentParser:
     """The nrgit parser: every subcommand of _COMMANDS."""
-    parser = argparse.ArgumentParser(
+    parser = _argparse().ArgumentParser(
         prog="nrgit",
         description="Exact stability computations for n points on the "
         "projective line under the Borel subgroup of SL(2).",
@@ -461,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scan(argv: list[str]) -> argparse.Namespace | None:
-    """What `build_parser().parse_args(argv)` returns, on a clean line.
+def _scan(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes `build_parser().parse_args(argv)` sets, on a clean line.
 
     A clean line is a command, then `flag value` pairs: each flag one of the
     command's own, in full and once; each value not starting with `-`, or
@@ -486,14 +510,16 @@ def _scan(argv: list[str]) -> argparse.Namespace | None:
             continue
         if text[:1] == "-" and not (text[1:].isascii() and text[1:].isdigit()):
             return None
+        # the except tuple is built only for a refused value, and argparse
+        # answers that line anyway
         try:
             value = kind(text) if kind else text
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except (_argparse().ArgumentTypeError, TypeError, ValueError):
             return None
         if choices is not None and value not in choices:
             return None
         values[flag[2:]] = value
-    return None if given else argparse.Namespace(cmd=name, func=handler, **values)
+    return None if given else SimpleNamespace(cmd=name, func=handler, **values)
 
 
 def main(argv=None) -> int:

@@ -31,26 +31,38 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable
-from fractions import Fraction
 from enum import Enum
 
-Rational = int | Fraction
+_Fraction = None
+
+
+def _fraction():
+    """fractions.Fraction, imported on first use: the module pulls in re,
+    decimal and numbers, and most commands build no Fraction.  Annotations
+    stay text under `from __future__ import annotations`, so they name
+    Fraction without importing it."""
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction
+
+        _Fraction = Fraction
+    return _Fraction
 
 
 class DegreeOverflowError(ArithmeticError):
     """Product would leave the degree-one domain a*N + b."""
 
 
-def _exact(value) -> Rational:
+def _exact(value) -> int | Fraction:
     # ints (bool included) become plain ints, Fractions stay, floats are refused
     if isinstance(value, int):
         return int(value)
-    if isinstance(value, Fraction):
+    if isinstance(value, _fraction()):
         return value
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
-def _eventual_sign(c2: Rational, c1: Rational, c0: Rational) -> int:
+def _eventual_sign(c2: int | Fraction, c1: int | Fraction, c0: int | Fraction) -> int:
     # sign of c2*N^2 + c1*N + c0 for all large N: the leading nonzero
     # coefficient decides, so the large-N order of two such values is the
     # lexicographic order of their (c2, c1, c0) triples
@@ -104,12 +116,12 @@ class AffineN(_Record):
 
     __slots__ = ("n_coeff", "const")
 
-    def __init__(self, n_coeff: Rational = 0, const: Rational = 0):
+    def __init__(self, n_coeff: int | Fraction = 0, const: int | Fraction = 0):
         object.__setattr__(self, "n_coeff", _exact(n_coeff))
         object.__setattr__(self, "const", _exact(const))
 
     @staticmethod
-    def of(value: "AffineN | Rational") -> "AffineN":
+    def of(value: "AffineN | int | Fraction") -> "AffineN":
         if isinstance(value, AffineN):
             return value
         return AffineN(0, value)
@@ -158,7 +170,7 @@ class AffineN(_Record):
         return self._key() >= AffineN.of(other)._key()
 
     def __eq__(self, other):
-        if not isinstance(other, (AffineN, int, Fraction)):
+        if not isinstance(other, (AffineN, int)) and not isinstance(other, _fraction()):
             return NotImplemented
         return self._key() == AffineN.of(other)._key()
 
@@ -174,7 +186,7 @@ class AffineN(_Record):
         """Sign for all sufficiently large N."""
         return _eventual_sign(0, self.n_coeff, self.const)
 
-    def eval_at(self, n_value: Rational) -> Rational:
+    def eval_at(self, n_value: int | Fraction) -> int | Fraction:
         """Evaluate at a concrete N > 0: an int when the coefficients and
         n_value are ints, a Fraction as soon as one of them is."""
         n_value = _exact(n_value)
@@ -189,7 +201,7 @@ class AffineN(_Record):
         return f"AffineN({self.n_coeff!r}, {self.const!r})"
 
 
-def _affine_text(n_coeff: Rational, const: Rational) -> str:
+def _affine_text(n_coeff: int | Fraction, const: int | Fraction) -> str:
     # how AffineN(n_coeff, const) prints: "3", "N", "-N+2", "2N-1/2"
     if n_coeff == 0:
         return str(const)
@@ -342,7 +354,7 @@ def _chain(points: list[tuple]) -> list[tuple]:
     return out
 
 
-def _locate_points(rows: list[tuple], n_value: Rational) -> OriginLocation:
+def _locate_points(rows: list[tuple], n_value: int | Fraction) -> OriginLocation:
     # nonempty rows read at N = n_value > 0 (Fractions when n_value is one),
     # as the sorted distinct points the hull body takes
     pts = sorted({(ax * n_value + bx, ay * n_value + by) for ax, bx, ay, by in rows})

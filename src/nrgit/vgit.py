@@ -18,10 +18,9 @@ exists iff n is even: a root of multiplicity exactly n/2.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 from .binary_forms import _check_positive_degree, _is_wall, central_divisor
-from .polytope import _Record
+from .polytope import _Record, _fraction
 # not called here; perfbench/spans.py wraps this binding by name to count the
 # profile censuses vgit runs, and every traced run fails without it
 from .binary_forms import _all_profiles  # noqa: F401
@@ -70,6 +69,7 @@ class FlipData(_Record):
 def wall_values(n: int) -> list[Fraction]:
     """Sorted wall slopes: 0, n, and interior q with n - q even."""
     _check_positive_degree(n)
+    Fraction = _fraction()
     return [Fraction(q) for q in range(n + 1) if _is_wall(n, q)]
 
 
@@ -104,7 +104,7 @@ def chamber_profile(n: int, tau) -> QuotientProfile:
     one does, so no census of profiles is needed.
     """
     _check_positive_degree(n)
-    tau = Fraction(tau)
+    tau = _fraction()(tau)
     if not 0 <= tau <= n:
         raise ValueError(f"tau={tau} outside [0, {n}]")
     if n + tau < 2:
@@ -155,7 +155,7 @@ def flip_data(n: int, tau) -> FlipData:
     is refused: its two chamber quotients are already isomorphic and no flip
     occurs.
     """
-    tau = Fraction(tau)
+    tau = _fraction()(tau)
     if n == 3:
         raise ValueError("degree 3 has no flip: both chamber quotients coincide")
     _check_positive_degree(n)  # before the wall test

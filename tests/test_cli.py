@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,20 @@ class TestClassify:
         assert code == 0
         assert "result.thresholds.inf_bound: 9/4" in out
         assert "result.thresholds.other_bound: 11/4" in out
+
+    def test_thresholds_print_as_the_fraction_formula_does(self):
+        # (n -+ tau)/2 at tau = r/m, from integers, as str(Fraction) prints it:
+        # every r around [0, nm] and some far past any degree
+        cases = [(n, m, r) for n in range(1, 41) for m in range(1, 8)
+                 for r in range(-n * m - 2, n * m + 3)]
+        cases += [(n, m, r) for n, m in ((1, 1), (12, 7), (40, 6), (10**20 + 1, 4))
+                  for r in (10**30, -10**30, 2**127 - 1, -(3**80), 6 * 10**20 + 6)]
+        for n, m, r in cases:
+            tau = Fraction(r, m)
+            assert cli._thresholds(n, m, r) == {
+                "inf_bound": str(Fraction(n - tau, 2)),
+                "other_bound": str(Fraction(n + tau, 2)),
+            }, (n, m, r)
 
     def test_profile_mass_overflow_rejected(self, capsys):
         code, _, err = run(capsys, "classify", "--n", "4", "--m", "1", "--r", "2",
@@ -337,24 +352,53 @@ class TestDiagram:
 class TestLeanStartup:
     # SHA-256 of `diagram --n 3 --N 7/2` as the dataclass-based records printed it
     SVG_SHA256 = "467ed3b81e713ac9d2b2263f8688159f8910a0eed550d3800d0f218a96eb6ed6"
+    # modules a clean command line may do without
+    HEAVY = ("argparse", "dataclasses", "fractions", "inspect", "json", "re",
+             "typing", "xml.etree.ElementTree")
 
-    def test_import_leaves_heavy_modules_unloaded(self):
-        # a fresh interpreter without site, as each command runs
-        script = (
-            "import sys, nrgit.cli\n"
-            "print(sorted(m for m in ('dataclasses', 'inspect', 'xml.etree.ElementTree')"
-            " if m in sys.modules))\n"
-            "nrgit.cli.main(['diagram', '--n', '3', '--N', '7/2'])\n"
-        )
+    def fresh(self, script):
+        # a fresh interpreter without site, as each command runs; `loaded()`
+        # lists the HEAVY modules imported so far
         src = os.path.dirname(os.path.dirname(os.path.abspath(nrgit.__file__)))
+        prelude = f"import sys\ndef loaded(): return sorted(set({self.HEAVY!r}) & set(sys.modules))\n"
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", script],
+            [sys.executable, "-S", "-c", prelude + script],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
-        loaded, svg = proc.stdout.split("\n", 1)
+        return proc.stdout
+
+    def test_import_leaves_heavy_modules_unloaded(self):
+        out = self.fresh(
+            "import nrgit.cli\n"
+            "print(loaded())\n"
+            "nrgit.cli.main(['diagram', '--n', '3', '--N', '7/2'])\n"
+        )
+        loaded, svg = out.split("\n", 1)
         assert loaded == "[]"
         assert hashlib.sha256(svg.encode()).hexdigest() == self.SVG_SHA256
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["census", "--n", "4"], []),
+        # json imports re for its decoder
+        (["census", "--n", "4", "--format", "json"], ["json", "re"]),
+    ])
+    def test_a_clean_census_imports_only_what_it_writes_with(self, argv, loaded):
+        out = self.fresh(
+            "import nrgit.cli\n"
+            f"code = nrgit.cli.main({argv!r})\n"
+            "print('exit', code, loaded())\n"
+        )
+        assert out.splitlines()[-1] == f"exit 0 {loaded}"
+
+    def test_help_still_reaches_argparse(self):
+        out = self.fresh(
+            "import nrgit.cli\n"
+            "code = nrgit.cli.main(['census', '-h'])\n"
+            "print('exit', code, 'argparse' in loaded())\n"
+        )
+        assert out.startswith("usage: nrgit census [-h] --n N")
+        assert out.splitlines()[-1] == "exit 0 True"
 
 
 class TestDegreeCeiling:
