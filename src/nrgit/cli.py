@@ -33,11 +33,10 @@ from .envelope import (
     _fixed_rows,
     embed_divisor,
     group_status,
-    strong_envelope_report,
     torus_case_status,
     unipotent_status,
 )
-from .oracle import DEFAULT_MAX_CENSUS_N, diff_report
+from .oracle import DEFAULT_MAX_CENSUS_N, _census
 from .polytope import _affine_text, _fraction
 from .vgit import WallKind, chamber_profile, flip_data, walls
 
@@ -304,10 +303,9 @@ def cmd_flips(args) -> int:
 def cmd_census(args) -> int:
     lin = LinParam(args.m, args.r)
     guard = _census_guard()
-    # diff_report refuses a degree outside the guard before any census
-    # work, so it runs ahead of the unguarded envelope report
-    diffs = diff_report(args.n, lin, max_n=guard)
-    envelope = strong_envelope_report(args.n, lin)
+    # one profile pass for both reports; it refuses a degree outside the
+    # guard before any census work
+    diffs, envelope = _census(args.n, lin, guard)
     result = {
         "census_diff": [
             {"check": r.check, "subject": r.subject, "expected": r.expected, "got": r.got}
@@ -458,7 +456,7 @@ _COMMANDS = (
     ("walls", "wall and chamber report", cmd_walls, (_N, _FORMAT)),
     ("flips", "flip data at an interior wall", cmd_flips, (
         _N, _FORMAT, ("--tau", None, None, _REQUIRED, "interior wall slope (rational)"))),
-    # diff_report applies the census guard
+    # the census pass applies the census guard
     ("census", "verify closed forms against brute force", cmd_census, (_N_ANY, *_LIN, _FORMAT)),
     ("diagram", "SVG weight diagram", cmd_diagram, (
         _N, *_LIN, _FORMAT,

@@ -187,16 +187,31 @@ def _engine_table(n: int, m: int, r: int) -> tuple[int, dict]:
     bounds every real root of each sign the body reads below that N, and
     every difference of entries below it, so the body takes the same steps
     at every N from there on, B included.
+
+    Each class's points reach the body sorted and distinct without a sort:
+    read family by family in the x-order [0:0:1], [1:0:0], [0:1:0] of
+    their e_x = -1, 0, +1, and within a family at the two ends ascending,
+    the second dropped when it repeats the first (mult_inf = n - mult_zero).
+    The point of row (e_x, c, e_y, r) has x = e_x*B + c with |c| <= mn <= M,
+    and B = 24*M^2 + 1 > 2M, so every [0:0:1] x is below -B + M < -M, every
+    [1:0:0] x lies in [-M, M] and every [0:1:0] x is above B - M > M: the
+    families are separated.  Within a family c = m(2i - n) strictly
+    increases with i, as m > 0, and mult_inf <= n - mult_zero.  So the x
+    strictly increase along the list, which is thus the sorted list of the
+    distinct points.
     """
     rows = _fixed_rows(n, m, r)
     b = _certified_n([row for _, _, row in rows])
     grid = [(ax * b + bx, ay * b + by) for _, _, (ax, bx, ay, by) in rows]
     k = n + 1  # the rows are family-major: ([e_j], [x^(n-i) y^i]) is row j*k + i
+    # per v-support, its families' first rows, in x-order
+    starts = {sup: [j * k for j in (2, 0, 1) if j in sup] for sup in _V_SUPPORTS}
     table = {}
     for key in _polytope_classes(n):
         v_support, mult_inf, mult_zero = key
-        ends = (mult_inf, n - mult_zero)
-        pts = sorted({grid[j * k + i] for j in v_support for i in ends})
+        hi = n - mult_zero
+        ends = (mult_inf,) if mult_inf == hi else (mult_inf, hi)
+        pts = [grid[s + i] for s in starts[v_support] for i in ends]
         table[key] = _LOCATION_TO_STATUS[_locate_sorted(pts)]
     return b, table
 
@@ -365,13 +380,21 @@ def strong_envelope_report(n: int, lin: LinParam) -> EnvelopeReport:
     completely-stable <= stable <= semistable <= completely-semistable.
     """
     params = EnvParams(n, lin)
+    return _envelope_report(n, lin, (
+        (d, classify_borel(d, lin), group_status(embed_divisor(d), params))
+        for d in _all_profiles(n)
+    ))
+
+
+def _envelope_report(n: int, lin: LinParam, statuses) -> EnvelopeReport:
+    # the one tally of strong_envelope_report, over (d, intrinsic, enveloped)
+    # per degree-n profile d: its classify_borel status and the group status
+    # of its embedded point; the census hands it those of its own pass
     counts_i = [0, 0, 0]
     counts_e = [0, 0, 0]
     violations = []
     stable_equal = semistable_equal = chain_ok = True
-    for d in _all_profiles(n):
-        intrinsic = classify_borel(d, lin)
-        enveloped = group_status(embed_divisor(d), params)
+    for d, intrinsic, enveloped in statuses:
         counts_i[2 - intrinsic] += 1
         counts_e[2 - enveloped] += 1
         if intrinsic.stable != enveloped.stable:

@@ -53,6 +53,12 @@ marked root, the group closed form and its class's table entry.  The
 points' closed forms run on raw cores (envelope._group_case,
 _unipotent_worst, _torus_case), each through a binding of its own; no
 EnvPoint is built for a point but a row's subject.
+
+One profile pass feeds both of the census command's reports: _census
+runs diff_report's pass, which keeps per profile the classify_borel
+status of its Borel check and the group closed form at the embedded
+v-support, and tallies strong_envelope_report's EnvelopeReport from them
+(envelope._envelope_report, that function's own tally).
 """
 
 from __future__ import annotations
@@ -70,8 +76,10 @@ from .binary_forms import (
 )
 from .envelope import (
     _EMBEDDED_SUPPORT,
+    EnvelopeReport,
     EnvPoint,
     _engine_table,
+    _envelope_report,
     _group_case,
     _marked_choices,
     _support_choices,
@@ -295,6 +303,21 @@ def diff_report(n: int, lin: LinParam, max_n: int = DEFAULT_MAX_CENSUS_N) -> Dif
 
     Empty on success.
     """
+    return _profile_pass(n, lin, max_n)[0]
+
+
+def _census(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, EnvelopeReport]:
+    # the census command's two reports from one profile pass: diff_report's
+    # and strong_envelope_report's, tallied from the statuses the pass keeps
+    report, statuses = _profile_pass(n, lin, max_n)
+    return report, _envelope_report(n, lin, statuses)
+
+
+def _profile_pass(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, list]:
+    # diff_report's pass, which also keeps (d, intrinsic, enveloped) per
+    # profile d: the classify_borel status its Borel check reads and the
+    # group closed form at its embedded point, as strong_envelope_report
+    # computes them
     census = enumerate_profiles(n, max_n)
     m, r = lin.m, lin.r
     borel, unip, full = GroupKind.BOREL, GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP
@@ -304,6 +327,7 @@ def diff_report(n: int, lin: LinParam, max_n: int = DEFAULT_MAX_CENSUS_N) -> Dif
     engine = _engine_table(n, m, r)[1]
     rows: list[DiffRow] = []
     point_rows: list[DiffRow] = []
+    statuses = []
     checked = 0
 
     def record(out, subject, checks):
@@ -315,13 +339,14 @@ def diff_report(n: int, lin: LinParam, max_n: int = DEFAULT_MAX_CENSUS_N) -> Dif
         checked += 1
         a, b = d.mult_inf, d.mult_zero
         masses = tuple(sorted(d.all_mults()))
+        intrinsic = classify_borel(d, lin)
         # class keys built as _point_key builds them: Borel's of the embedded
         # point, the unipotent ones at v = [1:1:0] and, for the SL(2) weights
         # 2i - n over all slot placements, at v = [1:0:0]
         record(rows, d, (
             ("borel closed form vs Borel placements",
              _class_worst((borel, a, tuple(sorted({0, b, *d.generic}))), n, lin, seen),
-             classify_borel(d, lin)),
+             intrinsic),
             ("unipotent closed form vs SL(2) placements",
              _class_worst((unip, True, True, masses, None), n, None, seen),
              classify_unipotent(d)),
@@ -351,4 +376,8 @@ def diff_report(n: int, lin: LinParam, max_n: int = DEFAULT_MAX_CENSUS_N) -> Dif
                          unip_worst, unip_closed),
                         ("torus case list vs polytope engine", engine_status, torus),
                     ))
-    return DiffReport(n, lin, checked, tuple(rows + point_rows))
+            if sup is _EMBEDDED_SUPPORT:
+                # its one marked root is mult_inf: group is the embedded
+                # point's group status
+                statuses.append((d, intrinsic, group))
+    return DiffReport(n, lin, checked, tuple(rows + point_rows)), statuses

@@ -252,20 +252,49 @@ class TestCensus:
         assert code == 0
 
     def test_guard_checked_before_any_census(self, capsys, monkeypatch):
+        import nrgit.envelope as envelope
+        import nrgit.oracle as oracle
+
         def refuse(*args):
-            raise AssertionError("envelope report built past the census guard")
+            raise AssertionError("census work started past the census guard")
 
         monkeypatch.setenv("NRGIT_MAX_CENSUS_N", "2")
-        monkeypatch.setattr(cli, "strong_envelope_report", refuse)
+        # every binding through which census work starts: the profile
+        # enumerations, the engine table and the envelope tally
+        for module, name in ((oracle, "_all_profiles"), (oracle, "_engine_table"),
+                             (oracle, "_envelope_report"), (envelope, "_all_profiles"),
+                             (envelope, "_envelope_report")):
+            monkeypatch.setattr(module, name, refuse)
         code, _, err = run(capsys, "census", "--n", "3", "--m", "1", "--r", "1")
         assert code == 2
         assert "guard" in err
+
+    def test_one_profile_enumeration_per_census(self, capsys, monkeypatch):
+        # both reports come from one pass: count the calls through every
+        # binding of the profile enumeration in the package
+        import nrgit.binary_forms as binary_forms
+
+        real = binary_forms._all_profiles
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        bound = [module for name, module in sys.modules.items()
+                 if name.split(".")[0] == "nrgit" and getattr(module, "_all_profiles", None) is real]
+        assert {module.__name__ for module in bound} >= {"nrgit.oracle", "nrgit.envelope"}
+        for module in bound:
+            monkeypatch.setattr(module, "_all_profiles", counting)
+        code, _, _ = run(capsys, "census", "--n", "4", "--m", "1", "--r", "2")
+        assert code == 0
+        assert calls == [4]
 
     def test_arithmetic_error_exits_four_naming_its_type(self, capsys, monkeypatch):
         def overflow(*args, **kwargs):
             raise DegreeOverflowError("pairing is quadratic in N")
 
-        monkeypatch.setattr(cli, "diff_report", overflow)
+        monkeypatch.setattr(cli, "_census", overflow)
         code, out, err = run(capsys, "census", "--n", "3", "--m", "1", "--r", "1")
         assert code == 4
         assert out == ""
@@ -279,7 +308,7 @@ class TestCensus:
         def broken(*args, **kwargs):
             raise error("boom")
 
-        monkeypatch.setattr(cli, "diff_report", broken)
+        monkeypatch.setattr(cli, "_census", broken)
         code, out, err = run(capsys, "census", "--n", "3")
         assert code == 4
         assert out == ""

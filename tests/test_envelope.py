@@ -49,6 +49,15 @@ from helpers import (
 E_BY_LABEL = {"[1:0:0]": (0, 0), "[0:1:0]": (1, -1), "[0:0:1]": (-1, -1)}
 
 
+def engine_table_slopes():
+    # (n, m, r): every twist in [-nm - 1, nm + 1] for n <= 8 and m <= 3, and
+    # every tau_grid slope for n <= 12
+    slopes = {(n, m, r) for n in range(1, 9) for m in (1, 2, 3)
+              for r in range(-n * m - 1, n * m + 2)}
+    slopes |= {(n, lin_for(tau).m, lin_for(tau).r) for n in range(1, 13) for tau in tau_grid(n)}
+    return sorted(slopes)
+
+
 class TestEnvPoint:
     def test_embed(self):
         p = embed_divisor(Divisor(4, 1, 0, (3,)))
@@ -201,16 +210,33 @@ class TestPointPolytope:
         # does, and reads it at an N no smaller than the class's certified N
         # (matching verdicts alone would not show that: a grid read at
         # N = M + 1 matches on this whole range)
-        slopes = {(n, m, r) for n in range(1, 9) for m in (1, 2, 3)
-                  for r in range(-n * m - 1, n * m + 2)}
-        slopes |= {(n, lin_for(tau).m, lin_for(tau).r) for n in range(1, 13) for tau in tau_grid(n)}
-        for n, m, r in sorted(slopes):
+        for n, m, r in engine_table_slopes():
             b, table = _engine_table(n, m, r)
             assert list(table) == _polytope_classes(n)
             for key, status in table.items():
                 rows = _class_rows(key, n, m, r)
                 assert status == _LOCATION_TO_STATUS[_locate(rows)], (n, m, r, key)
                 assert b >= _certified_n(rows), (n, m, r, key)
+
+    def test_engine_table_hands_the_hull_sorted_distinct_points(self, monkeypatch):
+        # _engine_table builds each class's points in x-order without a sort;
+        # the hull body's precondition is that they are sorted and distinct
+        import nrgit.envelope as envelope
+
+        real = envelope._locate_sorted
+        handed = []
+
+        def checked(pts):
+            handed.append(pts)
+            return real(pts)
+
+        monkeypatch.setattr(envelope, "_locate_sorted", checked)
+        for n, m, r in engine_table_slopes():
+            handed.clear()
+            _engine_table(n, m, r)
+            assert len(handed) == len(_polytope_classes(n))
+            for pts in handed:
+                assert pts == sorted(set(pts)), (n, m, r, pts)
 
     def test_degree_mismatch_rejected(self):
         p = EnvPoint({0}, Divisor(3, 0, 0, (3,)))

@@ -26,6 +26,7 @@ from nrgit import (
     group_status,
     moves_for,
     partition_count,
+    strong_envelope_report,
     torus_case_status,
     unipotent_case_status,
     unipotent_status,
@@ -351,6 +352,47 @@ class TestDiffReport:
         assert any("borel" in row.check for row in rep.rows)
         subjects = {row.subject for row in rep.rows}
         assert any(str(d) in subjects for d in enumerate_profiles(3))
+
+
+class TestCensusPass:
+    # the census command's one profile pass: its diff report is diff_report's
+    # and its envelope report strong_envelope_report's, field by field
+
+    @staticmethod
+    def assert_same_reports(n, lin):
+        from nrgit.envelope import EnvelopeReport
+        from nrgit.oracle import _census
+
+        diffs, envelope = _census(n, lin, n)
+        assert diffs == diff_report(n, lin), (n, lin)
+        want = strong_envelope_report(n, lin)
+        for field in EnvelopeReport.__slots__:
+            assert getattr(envelope, field) == getattr(want, field), (n, lin, field)
+
+    def test_matches_both_reports_on_tau_grid(self):
+        for n in range(1, 9):
+            for tau in tau_grid(n):
+                self.assert_same_reports(n, lin_for(tau))
+
+    def test_matches_both_reports_on_small_grid(self):
+        for n in range(1, 7):
+            for m in (1, 2, 3):
+                for r in range(-n * m - 1, n * m + 2):
+                    self.assert_same_reports(n, LinParam(m, r))
+
+    def test_matches_violations_of_a_broken_classifier(self, monkeypatch):
+        # the two passes read classify_borel through their own bindings; a
+        # classifier that swaps Stable and StrictlySemistable must give the
+        # same violations in the same order
+        import nrgit.envelope as envelope
+        import nrgit.oracle as oracle
+
+        for module in (oracle, envelope):
+            monkeypatch.setattr(module, "classify_borel", TestReportPin.swapped_borel)
+        for n in range(1, 6):
+            for tau in tau_grid(n):
+                self.assert_same_reports(n, lin_for(tau))
+        assert not strong_envelope_report(4, LinParam(1, 2)).ok
 
 
 class TestReportPin:
