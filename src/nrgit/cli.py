@@ -41,6 +41,10 @@ from .polytope import _affine_text, _fraction
 from .vgit import WallKind, chamber_profile, flip_data, walls
 
 _DEGREE_CEILING = 100_000  # the largest n of weights, walls, flips and diagram
+# the largest |e| of a --tau or --N written with an exponent, as in 1.5e<e>:
+# Fraction computes 10**|e| in full, and diagram --N 1e-100000 already takes
+# about 0.25 s on a 2-vCPU host (1.25 s at 1e-300000)
+_EXPONENT_CEILING = 100_000
 
 
 def _census_guard() -> int:
@@ -54,6 +58,15 @@ def _census_guard() -> int:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    exponent = text.lower().partition("e")[2]
+    try:
+        too_large = abs(int(exponent)) > _EXPONENT_CEILING
+    except ValueError:  # no exponent, or not one: Fraction reads the text
+        too_large = False
+    if too_large:
+        raise ValueError(
+            f"expected an exponent of at most {_EXPONENT_CEILING} in size, got {text!r}"
+        )
     try:
         return _fraction()(text)
     except (ValueError, ZeroDivisionError):

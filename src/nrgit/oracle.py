@@ -40,8 +40,8 @@ envelope._torus_case at the linearisation otherwise, and takes the worst;
 worst_case_status and diff_report call it.  Within one diff_report a
 status table scores each distinct (scorer, v_support, mult_inf,
 mult_zero) once and each class once.  A scan stops at its first Unstable
-placement, and only FullEnvelopeGroup's placements come as a list: every
-other class yields them on demand, so such a scan builds none past it.
+placement, and _placements yields every class's placements on demand, so
+such a scan builds none past it.
 
 diff_report makes one pass per profile over raw fields: per profile, the
 sorted root masses, classify_unipotent and the Borel, unipotent and SL(2)
@@ -181,8 +181,8 @@ def _placements(key: tuple):
 
     The one enumeration of the move rules: moves_for builds its EnvPoints
     from these triples and _class_worst scores them without building any.
-    Only FullEnvelopeGroup's come as a list; the others are yielded on
-    demand, so a scan that stops early builds no more of them.
+    They are yielded on demand, so a scan that stops early builds no more
+    of them.
 
     Borel's empty slot, the placement with nothing at [0:1], never decides
     its class's status.  Every Borel placement has v-support {0, 1}, where
@@ -192,30 +192,30 @@ def _placements(key: tuple):
     point's own [0:1] mass, which the class always holds, and a move set
     without it has the same worst status.
     """
-    kind = key[0]
-    if kind is GroupKind.TORUS_ONLY:
-        return (key[1:],)
-    if kind is GroupKind.BOREL:
+    if key[0] is GroupKind.TORUS_ONLY:
+        yield key[1:]
+        return
+    if key[0] is GroupKind.BOREL:
         _, a, other_slot = key
-        return ((_EMBEDDED_SUPPORT, a, q) for q in other_slot)
-    _, v0, v12, masses, marked = key
+        yield from ((_EMBEDDED_SUPPORT, a, q) for q in other_slot)
+        return
+    kind, v0, v12, masses, marked = key
     base = frozenset({0} if v0 else ())
-    if kind is GroupKind.UNIPOTENT_ENVELOPE:
-        vcases = [base | {1}, base | {2}, base | {1, 2}] if v12 else [base]
-        return ((case, a, b) for case in vcases for a, b in _slot_pairs(masses))
     if not v12:
-        # (v1, v2) = (0, 0) is preserved; only slot placements vary
-        return ((base, a, b) for a, b in _slot_pairs(masses))
-    others = _remove_one(masses, marked)
-    other_slot = sorted({0, *others})
-    return (
+        # (v1, v2) = (0, 0) is preserved by both groups; only slot placements vary
+        yield from ((base, a, b) for a, b in _slot_pairs(masses))
+    elif kind is GroupKind.UNIPOTENT_ENVELOPE:
+        for case in (base | {1}, base | {2}, base | {1, 2}):
+            yield from ((case, a, b) for a, b in _slot_pairs(masses))
+    else:
+        others = _remove_one(masses, marked)
+        other_slot = sorted({0, *others})
         # marked point sent to [1:0]
-        [(base | {1}, marked, q) for q in other_slot]
+        yield from ((base | {1}, marked, q) for q in other_slot)
         # marked point sent to [0:1]
-        + [(base | {2}, q, marked) for q in other_slot]
+        yield from ((base | {2}, q, marked) for q in other_slot)
         # marked point kept generic: slots take non-marked roots
-        + [(base | {1, 2}, a, b) for a, b in _slot_pairs(others)]
-    )
+        yield from ((base | {1, 2}, a, b) for a, b in _slot_pairs(others))
 
 
 def moves_for(kind: GroupKind, p: EnvPoint) -> GroupMoveSet:
@@ -246,8 +246,7 @@ def _class_worst(key: tuple, n: int, lin: LinParam | None, seen: dict) -> Status
     (v_support, mult_inf, mult_zero), and each class's worst case by its
     key, which leads with its GroupKind.  The scan stops at the first
     Unstable placement: nothing is worse, and neither scorer raises, so the
-    placements it skips change nothing.  Only FullEnvelopeGroup's are built
-    before the scan; every other group's are drawn one at a time.
+    placements it skips change nothing, and none of them is built.
     """
     got = seen.get(key)
     if got is not None:

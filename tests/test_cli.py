@@ -479,6 +479,30 @@ class TestUsageErrors:
         assert message in err
         assert "invalid _" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("flips", "--n", "6", "--tau", "1e100000000"),
+        ("flips", "--n", "6", "--tau", "1.5E+1_000_001"),
+        ("diagram", "--n", "3", "--N", "1e100000000"),
+        ("diagram", "--n", "3", "--N", "1e-100001"),
+    ], ids=["tau", "tau-written-out", "N", "N-negative"])
+    def test_large_exponent_refused_before_fraction_reads_it(self, capsys, monkeypatch, argv):
+        # Fraction computes 10**|e| in full, so a short --tau or --N could
+        # take unbounded time; the refusal comes before any Fraction is built
+        built = []
+
+        def spy():
+            built.append(argv)
+            raise AssertionError("Fraction reached")
+
+        monkeypatch.setattr(cli, "_fraction", spy)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, built) == (2, "", [])
+        assert err == f"error: expected an exponent of at most 100000 in size, got {argv[-1]!r}\n"
+
+    def test_exponent_at_the_ceiling_still_reads(self):
+        for text in ("1e100000", "1E-100000", "-2.5e+100000"):
+            assert cli._parse_fraction(text) == Fraction(text), text
+
 
 class TestHarness:
     def test_unknown_subcommand(self, capsys):

@@ -516,7 +516,35 @@ class TestPlacementTable:
         assert diff_report(4, LinParam(1, 2)).ok
         got = tuple(calls[name] for name in
                     ("_marked_choices", "_slot_pairs", "_torus_case", "_unipotent_case"))
-        assert got == (0, 190, 39, 44)
+        assert got == (0, 125, 39, 44)
+
+    def test_full_envelope_scan_stops_before_its_slot_pairs(self, monkeypatch):
+        # FullEnvelopeGroup's first placement sends the marked root to [1:0];
+        # where it is Unstable the scan ends there, and the generic
+        # placements behind it, drawn from _slot_pairs, are never built
+        import nrgit.oracle as oracle
+        from nrgit.envelope import _torus_case
+
+        lin = LinParam(1, 0)
+        p = EnvPoint(frozenset({1, 2}), Divisor(4, 0, 0, [2, 1, 1]), 1)
+        key = oracle._point_key(GroupKind.FULL_ENVELOPE_GROUP, p)
+        first = next(iter(oracle._placements(key)))
+        assert first == (frozenset({1}), 1, 0)
+        assert _torus_case(*first, 4, lin.m, lin.r) is Status.UNSTABLE
+
+        drawn = []
+
+        def spy(masses, real=oracle._slot_pairs):
+            for pair in real(masses):
+                drawn.append(pair)
+                yield pair
+
+        monkeypatch.setattr(oracle, "_slot_pairs", spy)
+        assert oracle._class_worst(key, 4, lin, {}) is Status.UNSTABLE
+        assert drawn == []
+        # the class has generic placements for the scan to skip
+        list(oracle._placements(key))
+        assert len(drawn) == 7
 
     def test_class_key_is_all_the_envelope_placements_read(self):
         # a report scans one point per class key, so every point with that
