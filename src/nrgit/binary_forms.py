@@ -17,7 +17,7 @@ import itertools
 from enum import Enum
 
 from .hilbert_mumford import Status, _status
-from .polytope import _Record, _fraction
+from .polytope import _Record, _fraction, _value_text
 
 
 class Divisor(_Record):
@@ -188,7 +188,7 @@ def _is_wall(n: int, tau) -> bool:
 def central_divisor(n: int, tau: Fraction) -> Divisor:
     """The unique closed-orbit configuration at an interior wall."""
     if not (0 < tau < n and _is_wall(n, tau)):
-        raise ValueError(f"tau={tau} is not an interior wall for n={n}")
+        raise ValueError(f"tau={_value_text(tau)} is not an interior wall for n={n}")
     s = (n - int(tau)) // 2
     return Divisor(n, s, n - s, ())
 

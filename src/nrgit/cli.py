@@ -37,7 +37,7 @@ from .envelope import (
     unipotent_status,
 )
 from .oracle import DEFAULT_MAX_CENSUS_N, _census
-from .polytope import _affine_text, _fraction
+from .polytope import _affine_text, _fraction, _value_text
 from .vgit import WallKind, chamber_profile, flip_data, walls
 
 _DEGREE_CEILING = 100_000  # the largest n of weights, walls, flips and diagram
@@ -185,6 +185,12 @@ def emit_report(command: str, inputs: dict, result: dict, notes: list[str], fmt:
     return "\n".join(lines) + "\n"
 
 
+def _write(args, inputs: dict, result: dict, notes: list[str]) -> int:
+    # the one tail of the report commands: args.cmd's report in args.format
+    sys.stdout.write(emit_report(args.cmd, inputs, result, notes, args.format))
+    return 0
+
+
 def _ratio_text(num: int, den: int) -> str:
     # str(Fraction(num, den)) for den > 0, without building the Fraction
     g = math.gcd(num, den)
@@ -215,22 +221,12 @@ def cmd_classify(args) -> int:
             "unipotent": unipotent_status(p, args.n).label,
         },
     }
-    notes = [
+    return _write(args, {"n": args.n, "m": args.m, "r": args.r, "profile": str(d)}, result, [
         "semistable needs multiplicity at [1:0] at most (n-tau)/2 and every "
         "other root multiplicity at most (n+tau)/2; stable needs both strict",
         "status_u encodes the unipotent pair: Stable = fewer than n/2 "
         "coincide, StrictlySemistable = exactly n/2",
-    ]
-    sys.stdout.write(
-        emit_report(
-            "classify",
-            {"n": args.n, "m": args.m, "r": args.r, "profile": str(d)},
-            result,
-            notes,
-            args.format,
-        )
-    )
-    return 0
+    ])
 
 
 def cmd_weights(args) -> int:
@@ -239,20 +235,10 @@ def cmd_weights(args) -> int:
         {"point": label, "i": i, "weight": f"({_affine_text(a_x, b_x)}, {_affine_text(a_y, b_y)})"}
         for label, i, (a_x, b_x, a_y, b_y) in _fixed_rows(args.n, args.m, args.r)
     ]
-    notes = [
+    return _write(args, {"n": args.n, "m": args.m, "r": args.r}, {"rows": rows}, [
         "rows list the rank-2 torus weights of the fixed points "
         "([e_j], [x^(n-i) y^i]) for i = 0..n",
-    ]
-    sys.stdout.write(
-        emit_report(
-            "weights",
-            {"n": args.n, "m": args.m, "r": args.r},
-            {"rows": rows},
-            notes,
-            args.format,
-        )
-    )
-    return 0
+    ])
 
 
 def _profile_payload(profile) -> dict:
@@ -279,14 +265,10 @@ def cmd_walls(args) -> int:
             profiles[seg.kind] = _profile_payload(chamber_profile(args.n, tau))
         # text output prints the keys in insertion order
         segments.append({"kind": seg.kind.value, key: shown, "profile": profiles[seg.kind]})
-    notes = [
+    return _write(args, {"n": args.n}, {"walls": segments}, [
         "walls sit at tau = 0, tau = n, and the interior slopes with "
         "n - tau even; classification is constant on each open chamber",
-    ]
-    sys.stdout.write(
-        emit_report("walls", {"n": args.n}, {"walls": segments}, notes, args.format)
-    )
-    return 0
+    ])
 
 
 def cmd_flips(args) -> int:
@@ -300,17 +282,11 @@ def cmd_flips(args) -> int:
             "slice": list(data.slice_weights),
         }
     }
-    notes = [
+    return _write(args, {"n": args.n, "tau": str(tau)}, result, [
         "crossing the wall contracts the weighted projective space with the "
         "e_minus weights and extracts the one with the e_plus weights; the "
         "slice carries the listed torus weights",
-    ]
-    sys.stdout.write(
-        emit_report(
-            "flips", {"n": args.n, "tau": str(tau)}, result, notes, args.format
-        )
-    )
-    return 0
+    ])
 
 
 def cmd_census(args) -> int:
@@ -334,23 +310,12 @@ def cmd_census(args) -> int:
             "violations": list(envelope.violations),
         },
     }
-    notes = [
+    _write(args, {"n": args.n, "m": args.m, "r": args.r}, result, [
         "counts are (stable, strictly semistable, unstable) over the full "
         "profile census; census_diff lists closed-form vs brute-force "
         "disagreements and must be empty",
-    ]
-    sys.stdout.write(
-        emit_report(
-            "census",
-            {"n": args.n, "m": args.m, "r": args.r},
-            result,
-            notes,
-            args.format,
-        )
-    )
-    if diffs.rows or not envelope.ok:
-        return 3
-    return 0
+    ])
+    return 3 if diffs.rows or not envelope.ok else 0
 
 
 def _diagram_svg(n: int, m: int, r: int, n_display: Fraction) -> str:
@@ -415,7 +380,7 @@ def _diagram_svg(n: int, m: int, r: int, n_display: Fraction) -> str:
 def cmd_diagram(args) -> int:
     n_display = _parse_fraction(args.N)
     if n_display <= 0:
-        raise ValueError(f"display value of N must be positive, got {n_display}")
+        raise ValueError(f"display value of N must be positive, got {_value_text(n_display)}")
     svg = _diagram_svg(args.n, args.m, args.r, n_display)
     if args.out:
         try:

@@ -222,8 +222,9 @@ def torus_case_status(p: EnvPoint, params: EnvParams) -> Status:
     With a = m(2*mult_inf - n), b = m(n - 2*mult_zero) the weight polytope is
     a trapezoid between the row at height r (x in [a, b], present iff v0 != 0)
     and the row at height r - N; intersecting its edges with the x-axis gives,
-    per v-support case, exact membership and interiority conditions.  Agrees
-    with torus_status(point_polytope(p)) on every representable point.
+    per v-support case, exact membership and interiority conditions.  Agrees,
+    on every representable point, with the location that
+    contains_origin(point_polytope(p, params)) gives.
     """
     d = p.divisor
     _check_degree(d, params.n)
@@ -403,13 +404,11 @@ def _envelope_report(n: int, lin: LinParam, statuses) -> EnvelopeReport:
         if intrinsic.semistable != enveloped.semistable:
             semistable_equal = False
             violations.append(f"semistable mismatch at {d}: {intrinsic} vs {enveloped}")
-        # weak chain, asserted independently of the equalities
+        # weak chain, asserted independently of the equalities; its middle
+        # link, stable <= semistable, holds by Status's order
         if enveloped.stable and not intrinsic.stable:
             chain_ok = False
             violations.append(f"chain break (completely-stable > stable) at {d}")
-        if intrinsic.stable and not intrinsic.semistable:
-            chain_ok = False
-            violations.append(f"chain break (stable > semistable) at {d}")
         if intrinsic.semistable and not enveloped.semistable:
             chain_ok = False
             violations.append(f"chain break (semistable > completely-semistable) at {d}")

@@ -43,6 +43,9 @@ from .polytope import (
 )
 
 
+_LABELS = ("Unstable", "StrictlySemistable", "Stable")  # indexed by Status
+
+
 class Status(IntEnum):
     """Stability class, ordered worst to best so worst-case = min."""
 
@@ -60,11 +63,7 @@ class Status(IntEnum):
 
     @property
     def label(self) -> str:
-        return {
-            Status.UNSTABLE: "Unstable",
-            Status.STRICTLY_SEMISTABLE: "StrictlySemistable",
-            Status.STABLE: "Stable",
-        }[self]
+        return _LABELS[self]
 
     def __str__(self):
         return self.label

@@ -209,6 +209,23 @@ def _affine_text(n_coeff: int | Fraction, const: int | Fraction) -> str:
     return f"{head}{'+' if const > 0 else '-'}{abs(const)}" if const else head
 
 
+def _value_text(value: int | Fraction) -> str:
+    # how an error message names a rational: str(value) while numerator and
+    # denominator have at most 50 digits each, else its first 6 digits, as
+    # "about 1.00000e+5000"; str() of an int past 4300 digits raises
+    num, den = abs(value.numerator), value.denominator
+    if num < 10**50 and den < 10**50:
+        return str(value)
+    e = int(math.log10(num) - math.log10(den)) - 5  # within one of the exponent
+    while True:
+        q = num * 10**-e // den if e < 0 else num // (den * 10**e)
+        if 10**5 <= q < 10**6:
+            break
+        e += 1 if q >= 10**6 else -1
+    digits = f"{q}"
+    return f"about {'-' if value < 0 else ''}{digits[0]}.{digits[1:]}e{e + 5:+d}"
+
+
 ZERO = AffineN(0, 0)
 N = AffineN(1, 0)
 

@@ -54,6 +54,11 @@ class TestDivisorValidation:
     def test_generic_anonymized_sorted(self):
         assert Divisor(6, 0, 0, (1, 3, 2)) == Divisor(6, 0, 0, (3, 2, 1))
 
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_lin_param_needs_a_positive_m(self, m):
+        with pytest.raises(ValueError, match=f"^m must be a positive integer, got {m}$"):
+            LinParam(m, 1)
+
 
 @pytest.mark.parametrize("n", [0, -1])
 @pytest.mark.parametrize(
@@ -190,6 +195,11 @@ class TestMoves:
         assert torus_limit(Divisor(4, 1, 0, (3,)), LimitDirection.TO_ZERO) == Divisor(4, 1, 3, ())
         assert torus_limit(Divisor(4, 0, 4, ()), LimitDirection.TO_ZERO) == Divisor(4, 0, 4, ())
         assert torus_limit(Divisor(4, 2, 1, (1,)), LimitDirection.TO_INF) == Divisor(4, 3, 1, ())
+
+    @pytest.mark.parametrize("direction", ["sideways", "TO_ZERO", None])
+    def test_unknown_torus_limit_direction_rejected(self, direction):
+        with pytest.raises(ValueError, match=f"^unknown direction {direction!r}$"):
+            torus_limit(Divisor(4, 1, 0, (3,)), direction)
 
     def test_moves_preserve_borel_status(self):
         taus = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),

@@ -132,6 +132,11 @@ class TestClassify:
             if "+" not in value:  # a roots list splits at "+"
                 assert cli.parse_profile(f"roots={value}+1", want + 1).generic == (want, 1)
 
+    @pytest.mark.parametrize("profile", ["inf=1,", ",inf=1", "inf=1, ,"])
+    def test_empty_profile_piece_is_skipped(self, capsys, profile):
+        argv = ("classify", "--n", "3", "--format", "json")
+        assert run(capsys, *argv, "--profile", profile) == run(capsys, *argv, "--profile", "inf=1")
+
     def test_empty_roots_list_is_a_profile(self, capsys):
         doc = run_json(capsys, "classify", "--n", "3", "--profile", "inf=1,zero=2,roots=")
         assert doc["inputs"]["profile"] == str(nrgit.Divisor(3, 1, 2, ()))
@@ -230,6 +235,29 @@ class TestFlips:
         code, _, _ = run(capsys, "flips", "--n", "6", "--tau", "5/2")
         assert code == 2
 
+    @pytest.mark.parametrize("tau, shown", [
+        ("3", "3"),
+        ("10", "10"),
+        ("1e40", "10000000000000000000000000000000000000000"),
+        # past 50 digits a value is named by its first 6 digits
+        ("1e5000", "about 1.00000e+5000"),
+        ("-1e5000", "about -1.00000e+5000"),
+        ("7e4299", "about 7.00000e+4299"),
+        ("1e-5000", "about 1.00000e-5000"),
+    ])
+    def test_non_wall_message_names_tau_at_a_bounded_length(self, capsys, tau, shown):
+        # str() of a Fraction past 4300 digits raises Python's own
+        # "Exceeds the limit" error
+        code, out, err = run(capsys, "flips", "--n", "6", f"--tau={tau}")
+        assert (code, out) == (2, "")
+        assert err == f"error: tau={shown} is not an interior wall for n=6\n"
+
+    @pytest.mark.parametrize("tau", ["x", "1/0", "2/"])
+    def test_tau_not_a_rational_is_a_usage_error(self, capsys, tau):
+        code, out, err = run(capsys, "flips", "--n", "6", "--tau", tau)
+        assert (code, out) == (2, "")
+        assert err == f"error: expected a rational p/q, got {tau!r}\n"
+
 
 class TestCensus:
     def test_clean_run_exits_zero(self, capsys):
@@ -241,6 +269,53 @@ class TestCensus:
         assert doc["result"]["checks_run"] > 0
         assert doc["result"]["envelope"]["chain_ok"] is True
         assert doc["result"]["envelope"]["counts_intrinsic"] == doc["result"]["envelope"]["counts_envelope"]
+
+    def test_closed_form_disagreement_exits_three_after_its_report(self, capsys, monkeypatch):
+        # a group closed form that calls every completion point Unstable
+        # disagrees with the tied placements wherever a point is semistable
+        import nrgit.oracle as oracle
+        from nrgit.hilbert_mumford import Status
+
+        monkeypatch.setattr(oracle, "_group_case", lambda *args: Status.UNSTABLE)
+        argv = ("census", "--n", "3", "--m", "1", "--r", "1")
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (3, "")
+        rows = json.loads(out)["result"]["census_diff"]
+        assert rows
+        assert {row["check"] for row in rows} == {"group closed form vs tied placements"}
+        assert {row["got"] for row in rows} == {"Unstable"}
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (3, "")
+        assert out.startswith("command: census\n")
+        assert sum(line.startswith("result.census_diff[") and line.endswith("].got: Unstable")
+                   for line in out.splitlines()) == len(rows)
+
+    @pytest.mark.parametrize("field", ["stable_equal", "semistable_equal", "chain_ok"])
+    def test_failed_envelope_report_alone_exits_three(self, capsys, monkeypatch, field):
+        import nrgit.oracle as oracle
+
+        real = oracle._envelope_report
+
+        def failing(n, lin, statuses):
+            report = real(n, lin, statuses)
+            values = {name: getattr(report, name) for name in report.__slots__}
+            values[field] = False
+            return type(report)(**values)
+
+        monkeypatch.setattr(oracle, "_envelope_report", failing)
+        code, out, err = run(capsys, "census", "--n", "3", "--m", "1", "--r", "1",
+                             "--format", "json")
+        assert (code, err) == (3, "")
+        doc = json.loads(out)["result"]
+        assert doc["census_diff"] == []
+        assert doc["envelope"][field] is False
+
+    @pytest.mark.parametrize("value", ["abc", "", "1.5"])
+    def test_env_var_not_an_integer_is_a_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("NRGIT_MAX_CENSUS_N", value)
+        code, out, err = run(capsys, "census", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: NRGIT_MAX_CENSUS_N must be an integer, got {value!r}\n"
 
     def test_env_var_tightens_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("NRGIT_MAX_CENSUS_N", "2")
@@ -359,6 +434,16 @@ class TestDiagram:
     def test_degree_zero_rejected(self, capsys):
         code, _, _ = run(capsys, "diagram", "--n", "0", "--m", "1", "--r", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("value, shown", [
+        ("0", "0"),
+        ("-7/2", "-7/2"),
+        ("-1e5000", "about -1.00000e+5000"),
+    ])
+    def test_display_value_not_positive_is_a_usage_error(self, capsys, value, shown):
+        code, out, err = run(capsys, "diagram", "--n", "3", f"--N={value}")
+        assert (code, out) == (2, "")
+        assert err == f"error: display value of N must be positive, got {shown}\n"
 
     @pytest.mark.parametrize("flag, value", [
         ("--N", "1e400"),

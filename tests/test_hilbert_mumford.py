@@ -54,6 +54,15 @@ class TestWeightPolytope:
         with pytest.raises(IndexError):
             weight_polytope(act, PointSupport([0, 3]))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TorusAction([]), "TorusAction needs at least one coordinate"),
+        (lambda: PointSupport([]), "PointSupport must be nonempty"),
+        (lambda: witness_lambdas(WeightSet([])), "witness_lambdas: empty weight set"),
+    ], ids=["action", "support", "witnesses"])
+    def test_empty_input_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     def test_fixed_points_of_the_completion_recover_the_weight_table(self):
         # the ambient action has one coordinate per (v_j, monomial) pair; a
         # fixed point is supported on exactly one of them and its polytope

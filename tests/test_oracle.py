@@ -380,19 +380,29 @@ class TestCensusPass:
                 for r in range(-n * m - 1, n * m + 2):
                     self.assert_same_reports(n, LinParam(m, r))
 
-    def test_matches_violations_of_a_broken_classifier(self, monkeypatch):
+    def assert_same_violations(self, monkeypatch, broken, violations):
         # the two passes read classify_borel through their own bindings; a
-        # classifier that swaps Stable and StrictlySemistable must give the
-        # same violations in the same order
+        # classifier that swaps two statuses must give the same violations in
+        # the same order
         import nrgit.envelope as envelope
         import nrgit.oracle as oracle
 
         for module in (oracle, envelope):
-            monkeypatch.setattr(module, "classify_borel", TestReportPin.swapped_borel)
+            monkeypatch.setattr(module, "classify_borel", broken)
         for n in range(1, 6):
             for tau in tau_grid(n):
                 self.assert_same_reports(n, lin_for(tau))
-        assert not strong_envelope_report(4, LinParam(1, 2)).ok
+        report = strong_envelope_report(4, LinParam(1, 2))
+        assert not report.ok
+        assert {row.partition(" at ")[0] for row in report.violations} == set(violations)
+
+    def test_matches_violations_of_a_broken_classifier(self, monkeypatch):
+        self.assert_same_violations(monkeypatch, TestReportPin.swapped_borel, (
+            "stable mismatch", "chain break (completely-stable > stable)"))
+
+    def test_matches_semistable_violations_of_a_broken_classifier(self, monkeypatch):
+        self.assert_same_violations(monkeypatch, TestReportPin.semistable_swapped_borel, (
+            "semistable mismatch", "chain break (semistable > completely-semistable)"))
 
 
 class TestReportPin:
@@ -421,6 +431,14 @@ class TestReportPin:
         if s is Status.UNSTABLE:
             return s
         return Status.STRICTLY_SEMISTABLE if s is Status.STABLE else Status.STABLE
+
+    @staticmethod
+    def semistable_swapped_borel(d, lin):
+        # swaps StrictlySemistable and Unstable: semistability violations
+        s = classify_borel(d, lin)
+        if s is Status.STABLE:
+            return s
+        return Status.UNSTABLE if s is Status.STRICTLY_SEMISTABLE else Status.STRICTLY_SEMISTABLE
 
     @pytest.mark.parametrize("n", sorted(REPORT_SHA256))
     def test_report_pinned(self, n, monkeypatch):

@@ -28,7 +28,7 @@ from nrgit import (
 
 from nrgit.envelope import _class_rows, _concrete_status, _polytope_class
 from nrgit.hilbert_mumford import _LOCATION_TO_STATUS
-from nrgit.polytope import _certified_n, _eventual_sign, _locate
+from nrgit.polytope import _certified_n, _eventual_sign, _locate, _value_text
 
 from helpers import (
     assert_n_star_past_certified_n,
@@ -90,6 +90,32 @@ class TestAffineN:
         assert -a == AffineN(-1, -2)
         assert 3 * a == AffineN(3, 6)
         assert a * Fraction(1, 2) == AffineN(Fraction(1, 2), 1)
+        assert 5 - a == AffineN(-1, 3)
+        assert Fraction(1, 2) - a == AffineN(-1, Fraction(-3, 2))
+
+    @pytest.mark.parametrize("value, text", [
+        (10**50 - 1, "9" * 50),
+        (Fraction(-7, 10**50 - 1), f"-7/{'9' * 50}"),
+        (10**50, "about 1.00000e+50"),
+        (Fraction(1, 10**50), "about 1.00000e-50"),
+        (999999 * 10**60 + 1, "about 9.99999e+65"),
+        (Fraction(-(10**60 + 1), 3), "about -3.33333e+59"),
+        (Fraction(2 * 10**70 - 1, 10**75), "about 1.99999e-5"),
+    ])
+    def test_value_text_names_a_long_rational_by_its_first_digits(self, value, text):
+        assert _value_text(value) == text
+        assert _value_text(Fraction(value)) == text
+
+    @pytest.mark.parametrize("a, b", [
+        (AffineN(1, 2), AffineN(1, 3)),
+        (AffineN(1, 2), AffineN(1, 2)),
+        (AffineN(0, 2), 3),
+        (AffineN(-1, 9), Fraction(1, 2)),
+        (AffineN(0, Fraction(1, 2)), Fraction(1, 2)),
+    ])
+    def test_order_operators_agree_with_cmp(self, a, b):
+        sign = cmp(a, AffineN.of(b))
+        assert (a < b, a <= b, a > b, a >= b) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
 
     def test_degree_overflow(self):
         with pytest.raises(DegreeOverflowError):
