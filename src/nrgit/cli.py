@@ -73,6 +73,43 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"expected a rational p/q, got {text!r}")
 
 
+def _long_number(argv: list[str]) -> str | None:
+    """The refusal of the first argument that holds a number written with
+    more digits than int() and Fraction() read (sys.get_int_max_str_digits(),
+    4300 unless changed), or None.  Their own ValueError would make the
+    value malformed and quote it in full; this names its flag, and the
+    number by its first digits as polytope._value_text names a rational.
+
+    main asks only when a line fails, so a clean line pays nothing: every
+    line holding such a number fails, in _scan for a flag read by int() or
+    with choices, which leaves the line to argparse, and in its handler,
+    as a ValueError, for --tau, --N, --profile and --out.
+    """
+    # Python before 3.10.7 reads any number of digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for k, text in enumerate(argv):
+        if not limit or len(text) <= limit:
+            continue
+        # runs of digits, each with the sign before it; int() skips a "_"
+        words = "".join(
+            ch if ch.isdecimal() or ch == "-" else "" if ch == "_" else " " for ch in text
+        ).replace("-", " -").split()
+        for word in words:
+            written = word.lstrip("-")
+            if len(written) <= limit:
+                continue
+            digits = written.lstrip("0") or "0"
+            sign = "-" if word[0] == "-" and digits != "0" else ""
+            shown = (f"{sign}{digits}" if len(digits) <= 50
+                     else f"about {sign}{digits[0]}.{digits[1:6]}e+{len(digits) - 1}")
+            if text.startswith("--") and "=" in text:
+                flag = text.partition("=")[0]
+            else:
+                flag = argv[k - 1] if k and argv[k - 1].startswith("-") else "an argument"
+            return f"{flag} holds a number of more than {limit} digits: {shown}"
+    return None
+
+
 def _ascii_int(text: str) -> int:
     # int() also reads digit-group underscores and non-ASCII digits ("1_0", "٠")
     if "_" in text or not text.isascii():
@@ -502,6 +539,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _scan(argv)
     if args is None:
+        refusal = _long_number(argv)
+        if refusal is not None:
+            print(f"error: {refusal}", file=sys.stderr)
+            return 2
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
@@ -509,7 +550,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_long_number(argv) or exc}", file=sys.stderr)
         return 2
     except (AssertionError, RuntimeError, ArithmeticError) as exc:
         # ArithmeticError (DegreeOverflowError, ZeroDivisionError): exact

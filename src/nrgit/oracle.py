@@ -43,16 +43,22 @@ mult_zero) once and each class once.  A scan stops at its first Unstable
 placement, and _placements yields every class's placements on demand, so
 such a scan builds none past it.
 
-diff_report makes one pass per profile over raw fields: per profile, the
-sorted root masses, classify_unipotent and the Borel, unipotent and SL(2)
-checks, each scored from a class key built without any point; per
-v-support (envelope._support_choices), the polytope engine's status (one
-table per report, envelope._engine_table: every class read off one grid of
-the fixed points), the torus case list and the unipotent closed form; per
-marked root, the group closed form and its class's table entry.  The
+diff_report checks each profile once and each completion-point check once
+per distinct input.  Per profile: the sorted root masses and the Borel,
+unipotent and SL(2) checks, each scored from a class key built without any
+point.  The point checks run on key sets, built from the profiles' sorted
+masses without visiting a point (_slope_free): the group check once per
+(v_support, masses, marked), the unipotent check once per (v_support,
+masses, classify_unipotent status), and the torus case list against the
+polytope engine once per polytope class (one table per report,
+envelope._engine_table: every class read off one grid of the fixed
+points).  The slope-free parts, the masses, key sets and unipotent and
+SL(2) checks, are built apart from the slope ones.  The
 points' closed forms run on raw cores (envelope._group_case,
-_unipotent_worst, _torus_case), each through a binding of its own; no
-EnvPoint is built for a point but a row's subject.
+_unipotent_worst, _torus_case), each through a binding of its own.  Only
+when some key disagrees does the point loop (_point_rows, in
+envelope._support_choices order) run, to write the rows; no EnvPoint is
+built for a point but a row's subject.
 
 One profile pass feeds both of the census command's reports: _census
 runs diff_report's pass, which keeps per profile the classify_borel
@@ -63,6 +69,7 @@ v-support, and tallies strong_envelope_report's EnvelopeReport from them
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
 
 from .binary_forms import (
@@ -76,6 +83,7 @@ from .binary_forms import (
 )
 from .envelope import (
     _EMBEDDED_SUPPORT,
+    _V_SUPPORTS,
     EnvelopeReport,
     EnvPoint,
     _engine_table,
@@ -313,48 +321,139 @@ def _census(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, EnvelopeRepo
 
 
 def _profile_pass(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, list]:
-    # diff_report's pass, which also keeps (d, intrinsic, enveloped) per
-    # profile d: the classify_borel status its Borel check reads and the
-    # group closed form at its embedded point, as strong_envelope_report
-    # computes them
+    """diff_report's pass, which also keeps (d, intrinsic, enveloped) per
+    profile d: the classify_borel status its Borel check reads and the group
+    closed form at its embedded point, as strong_envelope_report computes
+    them.
+
+    The profile checks run per profile.  Each completion-point check runs
+    once per key: the tuple of every argument its two sides read beyond n,
+    m and r, which are the report's.  Both sides are pure functions of
+    their arguments, so a check that holds at a key holds at every point
+    with that key, and the key sets below hold exactly the census's keys:
+      group      _class_worst((full, v0, v12, masses, marked)) reads the
+                 v-support's flags v0 and v12, the sorted root masses and
+                 the marked root; _group_case(sup, marked, top, n, m, r)
+                 the v-support, the marked root and top = masses[-1].  Key
+                 (sup, masses, marked).
+      unipotent  _class_worst((unip, v0, v12, masses, None)) and
+                 _unipotent_worst(sup, _point_unipotent(d)).  Key (sup,
+                 masses, _point_unipotent(d)), per profile d, every sup.
+      engine     engine[sup, a, b] and _torus_case_list(sup, a, b, n, m, r).
+                 Key (sup, a, b): every class of the engine table, since
+                 the class (sup, a, b), a + b <= n, holds the points at sup
+                 of every profile with a at [1:0] and b at [0:1].
+
+    The group keys of each sorted-mass tuple masses are (sup, masses, None)
+    at sup = {0} and (sup, masses, marked) at each other v-support, marked
+    in {0} + masses.  A point's marked root is None exactly at {0}, the
+    v-support that misses 1 and 2.  Elsewhere it is its mass at [1:0] or
+    at [0:1], or 0 or one of its generic masses: always 0 or a root mass.
+    And each is reached: the census holds the profile with all of masses
+    generic (0 at [1:0] and at [0:1]; any of {0} + masses at a generic
+    [v1:v2]) and, for each mass x, the profile with x at [1:0] and the rest
+    generic, and the one with x at [0:1].
+
+    A profile with generic masses g has 5 + 2k completion points, where k =
+    len({0, *g}): marked None at {0}; the forced mass, mult_inf or
+    mult_zero, at each of {1}, {2}, {0, 1} and {0, 2}; any of {0, *g} at
+    {1, 2} and at {0, 1, 2}.  checked is one per profile and one per point,
+    as the point loop counts them.
+
+    A clean report visits no point.  When some key disagrees, _point_rows,
+    the point loop, writes the rows, so a failing report keeps its rows and
+    their order; if it writes none, the key sets have parted from the
+    points, and the pass raises RuntimeError.
+    """
     census = enumerate_profiles(n, max_n)
     m, r = lin.m, lin.r
     borel, unip, full = GroupKind.BOREL, GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP
     # placement classes scored so far, for this report's linearisation only
     seen: dict = {}
-    # polytope engine status per polytope class; every class occurs below
+    profiles, group_keys, unipotent_keys, checked = _slope_free(census, n, seen)
+    # polytope engine status per polytope class
     engine = _engine_table(n, m, r)[1]
     rows: list[DiffRow] = []
-    point_rows: list[DiffRow] = []
     statuses = []
-    checked = 0
+    for d, masses, unipotent_worst, sl2_worst, unipotent, sl2 in profiles:
+        a = d.mult_inf
+        intrinsic = classify_borel(d, lin)
+        # Borel's class key of the embedded point, built as _point_key builds it
+        _record(rows, d, (
+            ("borel closed form vs Borel placements",
+             _class_worst((borel, a, tuple(sorted({0, d.mult_zero, *d.generic}))), n, lin, seen),
+             intrinsic),
+            ("unipotent closed form vs SL(2) placements", unipotent_worst, unipotent),
+            ("sl2 closed form vs slot placements", sl2_worst, sl2),
+        ))
+        # the embedded point's group closed form: its marked root is mult_inf
+        statuses.append((d, intrinsic, _group_case(_EMBEDDED_SUPPORT, a, masses[-1], n, m, r)))
+    agree = all(
+        _class_worst((full, 0 in sup, 1 in sup or 2 in sup, masses, marked), n, lin, seen)
+        == _group_case(sup, marked, masses[-1], n, m, r)
+        for sup, masses, marked in group_keys
+    ) and all(
+        _class_worst((unip, 0 in sup, 1 in sup or 2 in sup, masses, None), n, None, seen)
+        == _unipotent_worst(sup, u)
+        for sup, masses, u in unipotent_keys
+    ) and all(
+        status == _torus_case_list(*key, n, m, r) for key, status in engine.items()
+    )
+    if not agree:
+        point_rows = _point_rows(census, n, lin, seen, engine)[0]
+        if not point_rows:
+            # every key is some point's: the keys and the points have parted
+            raise RuntimeError("a completion-point check fails at a key that no point has")
+        rows += point_rows
+    return DiffReport(n, lin, checked, tuple(rows)), statuses
 
-    def record(out, subject, checks):
-        for check, expected, got in checks:
-            if expected != got:
-                out.append(DiffRow(check, str(subject), str(expected), str(got)))
 
+def _slope_free(census, n: int, seen: dict) -> tuple[list, Iterator, Iterator, int]:
+    # the parts of _profile_pass that no slope changes: per profile d, its
+    # sorted root masses, the placement and closed-form sides of its
+    # unipotent and SL(2) checks; the group and unipotent check keys, as
+    # _profile_pass's docstring derives them, each generated on demand; and
+    # checked.  seen is the report's status table.
+    unip = GroupKind.UNIPOTENT_ENVELOPE
+    profiles = []
+    # per sorted-mass tuple, in census order: itself and the placement side
+    # of both profile checks, its class keys at v = [1:1:0] and, for the
+    # SL(2) weights 2i - n over all slot placements, at v = [1:0:0].  The
+    # profiles share its one copy of masses and the keys are generated, not
+    # listed: what the pass keeps alive is what starts a garbage collection
+    # (a clean census --n 4 ran one, of about 80 microseconds, when it kept
+    # them)
+    scans: dict = {}
+    pairs: dict = {}  # distinct (masses, _point_unipotent(d)), in census order
+    checked = len(census)
     for d in census:
-        checked += 1
+        masses = tuple(sorted(d.all_mults()))
+        scan = scans.get(masses)
+        if scan is None:
+            scan = scans[masses] = (masses,
+                                    _class_worst((unip, True, True, masses, None), n, None, seen),
+                                    _class_worst((unip, True, False, masses, None), n, None, seen))
+        profiles.append((d, *scan, classify_unipotent(d), classify_sl2(d)))
+        pairs[scan[0], _point_unipotent(d)] = None
+        checked += 5 + 2 * len({0, *d.generic})
+    group = ((sup, masses, marked) for masses in scans for sup in _V_SUPPORTS
+             for marked in (sorted({0, *masses}) if 1 in sup or 2 in sup else (None,)))
+    unipotent = ((sup, masses, u) for masses, u in pairs for sup in _V_SUPPORTS)
+    return profiles, group, unipotent, checked
+
+
+def _point_rows(census, n: int, lin: LinParam, seen: dict, engine: dict) -> tuple[list, int]:
+    # the point loop: the rows of the three completion-point checks, point by
+    # point in enumeration order (envelope._support_choices), and the number
+    # of points; _profile_pass's row writer.  Each value is computed in the
+    # outermost loop that fixes all of its arguments.
+    m, r = lin.m, lin.r
+    unip, full = GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP
+    rows: list[DiffRow] = []
+    points = 0
+    for d in census:
         a, b = d.mult_inf, d.mult_zero
         masses = tuple(sorted(d.all_mults()))
-        intrinsic = classify_borel(d, lin)
-        # class keys built as _point_key builds them: Borel's of the embedded
-        # point, the unipotent ones at v = [1:1:0] and, for the SL(2) weights
-        # 2i - n over all slot placements, at v = [1:0:0]
-        record(rows, d, (
-            ("borel closed form vs Borel placements",
-             _class_worst((borel, a, tuple(sorted({0, b, *d.generic}))), n, lin, seen),
-             intrinsic),
-            ("unipotent closed form vs SL(2) placements",
-             _class_worst((unip, True, True, masses, None), n, None, seen),
-             classify_unipotent(d)),
-            ("sl2 closed form vs slot placements",
-             _class_worst((unip, True, False, masses, None), n, None, seen),
-             classify_sl2(d)),
-        ))
-        # d's completion points, by v-support then marked root; each value is
-        # computed in the outermost loop that fixes all of its arguments
         top = masses[-1]  # d.max_mult()
         profile_unip = _point_unipotent(d)
         for sup, choices in _support_choices(d):
@@ -364,19 +463,22 @@ def _profile_pass(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, list]:
             engine_status = engine[sup, a, b]
             torus = _torus_case_list(sup, a, b, n, m, r)
             for marked in choices:
-                checked += 1
+                points += 1
                 group_worst = _class_worst((full, v0, v12, masses, marked), n, lin, seen)
                 group = _group_case(sup, marked, top, n, m, r)
                 if group_worst != group or unip_worst != unip_closed or engine_status != torus:
                     # the one EnvPoint built for a point: an emitted row's subject
-                    record(point_rows, EnvPoint(sup, d, marked), (
+                    _record(rows, EnvPoint(sup, d, marked), (
                         ("group closed form vs tied placements", group_worst, group),
                         ("unipotent closed form vs SL(2) placements (completion point)",
                          unip_worst, unip_closed),
                         ("torus case list vs polytope engine", engine_status, torus),
                     ))
-            if sup is _EMBEDDED_SUPPORT:
-                # its one marked root is mult_inf: group is the embedded
-                # point's group status
-                statuses.append((d, intrinsic, group))
-    return DiffReport(n, lin, checked, tuple(rows + point_rows)), statuses
+    return rows, points
+
+
+def _record(out: list, subject, checks) -> None:
+    # a DiffRow per check (name, expected, got) whose two answers differ
+    for check, expected, got in checks:
+        if expected != got:
+            out.append(DiffRow(check, str(subject), str(expected), str(got)))

@@ -588,6 +588,62 @@ class TestUsageErrors:
         for text in ("1e100000", "1E-100000", "-2.5e+100000"):
             assert cli._parse_fraction(text) == Fraction(text), text
 
+    # int() and Fraction() read at most this many digits in one number
+    DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    LONG = "1" * (DIGIT_LIMIT + 1)
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python reads any number of digits")
+    @pytest.mark.parametrize("argv", [
+        ("flips", "--n", "6", "--tau", LONG),
+        ("classify", "--n", "3", "--r", LONG),
+        ("classify", "--n", "3", "--m", LONG),
+        ("classify", "--n", LONG),
+        ("diagram", "--n", "3", "--N", LONG),
+    ], ids=["tau", "r", "m", "n", "N"])
+    def test_number_past_the_digit_limit_is_named_by_its_first_digits(self, capsys, argv):
+        # not refused as malformed with the whole number quoted: argparse's
+        # "invalid int value" or "expected a rational p/q"
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {argv[-2]} holds a number of more than {self.DIGIT_LIMIT} "
+                       f"digits: about 1.11111e+{self.DIGIT_LIMIT}\n")
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python reads any number of digits")
+    @pytest.mark.parametrize("argv, shown", [
+        (("flips", "--n", "6", f"--tau=-{LONG}"), "--tau holds a number"),
+        (("flips", "--n", "6", "--tau", f"1/{LONG}"), "--tau holds a number"),
+        (("classify", "--n", "3", "--r", f"-{LONG}"), "about -1.11111e+"),
+        (("classify", "--n", "3", "--r", "0" * DIGIT_LIMIT + "12"), "digits: 12\n"),
+        (("classify", "--n", "3", "--profile", f"roots=2+{LONG}"), "--profile holds a number"),
+        (("census", "--n", "4", LONG), "an argument holds a number"),
+    ], ids=["tau=", "tau-denominator", "r-negative", "r-leading-zeros", "profile", "stray"])
+    def test_every_long_number_is_refused_by_name(self, capsys, argv, shown):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert shown in err
+        assert self.LONG not in err
+
+    def test_a_clean_line_pays_no_digit_check(self, capsys, monkeypatch):
+        # only a failing line can hold a number past the limit, so only a
+        # failing line is searched for one
+        monkeypatch.setattr(cli, "_long_number", lambda argv: pytest.fail(" ".join(argv)))
+        assert run(capsys, "flips", "--n", "6", "--tau", "2")[0] == 0
+        assert run(capsys, "classify", "--n", "3", "--r", "1", "--profile", "inf=1,roots=2")[0] == 0
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python reads any number of digits")
+    def test_numbers_at_the_digit_limit_still_read(self, capsys):
+        at = self.LONG[1:]
+        code, out, err = run(capsys, "classify", "--n", "3", "--m", at, "--r", at,
+                             "--profile", "inf=3", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["inputs"]["r"] == int(at)
+        code, out, err = run(capsys, "classify", "--n", at, "--profile", f"inf={at}")
+        assert (code, err) == (0, "")
+        code, _, err = run(capsys, "flips", "--n", "6", "--tau", at)
+        assert (code, err) == (2, f"error: tau=about 1.11111e+{len(at) - 1} is not an interior wall for n=6\n")
+        code, _, err = run(capsys, "diagram", "--n", "3", "--N", at)
+        assert (code, err) == (2, "error: diagram coordinates do not fit a float; use a smaller --N\n")
+
 
 class TestHarness:
     def test_unknown_subcommand(self, capsys):

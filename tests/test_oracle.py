@@ -405,6 +405,140 @@ class TestCensusPass:
             "semistable mismatch", "chain break (semistable > completely-semistable)"))
 
 
+def flipped(real, wrong):
+    # a throwaway mutant of a status function: one step off where wrong(*args)
+    return lambda *args: Status((real(*args) + 1) % 3) if wrong(*args) else real(*args)
+
+
+class TestKeyedPass:
+    # diff_report decides each completion-point check once per key, the
+    # tuple of arguments its two sides read, and visits no point; the point
+    # loop, oracle._point_rows, writes the rows when some key disagrees
+
+    @staticmethod
+    def writer_report(n, lin):
+        # the report of the row writer alone: a check per profile and per
+        # point it visits, and every point row it writes
+        from nrgit.envelope import _engine_table
+        from nrgit.oracle import DiffReport, _point_rows
+
+        census = enumerate_profiles(n, n)
+        rows, points = _point_rows(census, n, lin, {}, _engine_table(n, lin.m, lin.r)[1])
+        return DiffReport(n, lin, len(census) + points, tuple(rows))
+
+    def assert_writer_rows_on_tau_grid(self):
+        # under a mutant, the keyed report is the row writer's for n <= 6,
+        # and the mutant fails some report
+        failing = 0
+        for n in range(1, 7):
+            for tau in tau_grid(n):
+                lin = lin_for(tau)
+                report = diff_report(n, lin)
+                assert repr(report) == repr(self.writer_report(n, lin)), (n, lin)
+                failing += not report.ok
+        assert failing
+
+    def test_key_sets_are_the_arguments_of_the_points(self):
+        # the keys come from the profiles' sorted masses alone, so they must
+        # be the distinct arguments collected point by point through
+        # envelope._support_choices, and checked its count of points
+        from nrgit.oracle import _slope_free
+
+        for n in range(1, 11):
+            census = enumerate_profiles(n, n)
+            _, group, unipotent, checked = _slope_free(census, n, {})
+            group, unipotent = list(group), list(unipotent)
+            want_group, want_unipotent = set(), set()
+            for p in enumerate_env_points(n):
+                sup, d = p.v_support, p.divisor
+                # the marked root a v-support meeting {1, 2} in one index forces
+                if (1 in sup) != (2 in sup):
+                    assert p.marked_mult == (d.mult_inf if 1 in sup else d.mult_zero), str(p)
+                masses = tuple(sorted(p.divisor.all_mults()))
+                want_group.add((p.v_support, masses, p.marked_mult))
+                want_unipotent.add((p.v_support, masses, classify_unipotent(p.divisor)))
+            assert len(group) == len(want_group) and set(group) == want_group, n
+            assert len(unipotent) == len(want_unipotent) and set(unipotent) == want_unipotent, n
+            lin = LinParam(1, 1)
+            assert checked == diff_report(n, lin, n).checked == self.writer_report(n, lin).checked, n
+
+    def test_keyed_pass_matches_the_row_writer_on_tau_grid(self):
+        from nrgit.oracle import _profile_pass
+
+        for n in range(1, 9):
+            census = enumerate_profiles(n)
+            for tau in tau_grid(n):
+                lin = lin_for(tau)
+                params = EnvParams(n, lin)
+                report, statuses = _profile_pass(n, lin, n)
+                assert repr(report) == repr(self.writer_report(n, lin)), (n, lin)
+                assert statuses == [
+                    (d, classify_borel(d, lin), group_status(embed_divisor(d), params))
+                    for d in census
+                ], (n, lin)
+
+    @pytest.mark.parametrize("binding, wrong", [
+        ("_group_case", lambda sup, marked, top, n, m, r: 2 * top == n),
+        ("_group_case", lambda sup, marked, top, n, m, r: marked == 1 and 2 in sup),
+        ("_unipotent_worst", lambda sup, unip: sup == frozenset({0, 2})),
+        ("_torus_case_list", lambda sup, a, b, n, m, r: a == 1 and b == n - 1),
+        ("_torus_case_list", lambda sup, a, b, n, m, r: sup == frozenset({1, 2}) and a + b == n),
+    ], ids=["group-half", "group-marked-one", "unipotent-02", "torus-ends", "torus-12"])
+    def test_keyed_pass_writes_the_row_writers_rows_under_a_mutant(self, monkeypatch, binding, wrong):
+        import nrgit.oracle as oracle
+
+        monkeypatch.setattr(oracle, binding, flipped(getattr(oracle, binding), wrong))
+        self.assert_writer_rows_on_tau_grid()
+
+    def test_keyed_pass_writes_the_row_writers_rows_under_a_hull_mutant(self, monkeypatch):
+        import nrgit.envelope as envelope
+
+        real = envelope._locate_sorted
+
+        def mislocate(pts):
+            got = real(pts)
+            return OriginLocation.OUTSIDE if len(pts) == 4 and got is OriginLocation.BOUNDARY else got
+
+        monkeypatch.setattr(envelope, "_locate_sorted", mislocate)
+        self.assert_writer_rows_on_tau_grid()
+
+    def test_a_failing_key_that_no_point_has_is_an_internal_error(self, monkeypatch):
+        # the row writer enumerates the points without one v-support, where
+        # alone the group closed form is wrong: no row, so no clean report
+        import nrgit.oracle as oracle
+
+        everywhere = frozenset({0, 1, 2})
+        real = oracle._support_choices
+        monkeypatch.setattr(oracle, "_support_choices", lambda d: real(d)[:-1])
+        monkeypatch.setattr(oracle, "_group_case", flipped(
+            oracle._group_case, lambda sup, *rest: sup == everywhere))
+        with pytest.raises(RuntimeError, match="no point has"):
+            diff_report(3, LinParam(1, 1))
+
+    @pytest.mark.parametrize("binding", ["_group_case", "_unipotent_worst", "_torus_case_list"])
+    def test_a_mutant_wrong_at_one_points_arguments_fails_the_report(self, monkeypatch, binding):
+        # for every distinct argument tuple the point loop hands a check's
+        # closed form, a mutant wrong there alone fails the keyed report
+        import nrgit.oracle as oracle
+
+        real = getattr(oracle, binding)
+        lin = LinParam(2, 3)
+        for n in range(1, 5):
+            targets = set()
+            for p in enumerate_env_points(n):
+                sup, d, marked = p.v_support, p.divisor, p.marked_mult
+                targets.add({
+                    "_group_case": (sup, marked, d.max_mult(), n, lin.m, lin.r),
+                    "_unipotent_worst": (sup, oracle._point_unipotent(d)),
+                    "_torus_case_list": (sup, d.mult_inf, d.mult_zero, n, lin.m, lin.r),
+                }[binding])
+            for target in targets:
+                monkeypatch.setattr(oracle, binding, flipped(real, lambda *args: args == target))
+                report = diff_report(n, lin)
+                assert not report.ok, (n, target)
+                assert repr(report) == repr(self.writer_report(n, lin)), (n, target)
+
+
 class TestReportPin:
     # SHA-256 per degree of repr(diff_report(n, lin)), one line per tau_grid
     # slope in order: plain, then with the Borel classifier swapping Stable
