@@ -68,7 +68,8 @@ def validate(d: Divisor) -> Divisor:
     total = d.mult_inf + d.mult_zero + sum(d.generic)
     if total != d.n:
         raise ValueError(
-            f"degree mismatch: multiplicities sum to {total}, expected {d.n}"
+            f"degree mismatch: multiplicities sum to {_value_text(total)}, "
+            f"expected {_value_text(d.n)}"
         )
     return d
 

@@ -184,10 +184,6 @@ def _json(value, indent: str) -> str:
             return "true"
         if value is False:
             return "false"
-        if isinstance(value, str):
-            return quote(value)
-        if isinstance(value, int):
-            return int.__repr__(value)
         return json.dumps(value)
 
     return write(value, indent)
@@ -443,14 +439,16 @@ def _argparse():
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise _argparse().ArgumentTypeError(f"expected a positive integer, got {text}")
+        raise _argparse().ArgumentTypeError(
+            f"expected a positive integer, got {text if len(text) <= 50 else _value_text(value)}")
     return value
 
 
 def degree(text: str) -> int:
     value = positive_int(text)
     if value > _DEGREE_CEILING:
-        raise _argparse().ArgumentTypeError(f"degree {value} exceeds the ceiling {_DEGREE_CEILING}")
+        raise _argparse().ArgumentTypeError(
+            f"degree {_value_text(value)} exceeds the ceiling {_DEGREE_CEILING}")
     return value
 
 

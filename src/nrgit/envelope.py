@@ -337,15 +337,10 @@ def _polytope_classes(n: int) -> list[tuple]:
 def enumerate_env_points(n: int) -> list[EnvPoint]:
     """Every coherent EnvPoint of degree n, over all profiles and v-supports."""
     _check_positive_degree(n)
-    return _env_points(_all_profiles(n))
-
-
-def _env_points(profiles) -> list[EnvPoint]:
-    # the points over these profiles, coherent by construction, so they
-    # skip EnvPoint's check
+    # coherent by construction, so the points skip EnvPoint's check
     return [
         object.__new__(EnvPoint)._set(sup, d, marked)
-        for d in profiles
+        for d in _all_profiles(n)
         for sup, choices in _support_choices(d)
         for marked in choices
     ]
@@ -432,12 +427,7 @@ def concrete_torus_case_status(p: EnvPoint, params: EnvParams, n_value) -> Statu
     """
     _check_degree(p.divisor, params.n)
     rows = _class_rows(_polytope_class(p), params.n, params.lin.m, params.lin.r)
-    return _concrete_status(rows, N.eval_at(n_value))
-
-
-def _concrete_status(rows: list[tuple], n_value) -> Status:
-    # the torus status of integer rows at a concrete N > 0
-    return _LOCATION_TO_STATUS[_locate_points(rows, n_value)]
+    return _LOCATION_TO_STATUS[_locate_points(rows, N.eval_at(n_value))]
 
 
 def n_threshold(n: int, lin: LinParam) -> int:

@@ -44,21 +44,19 @@ placement, and _placements yields every class's placements on demand, so
 such a scan builds none past it.
 
 diff_report checks each profile once and each completion-point check once
-per distinct input.  Per profile: the sorted root masses and the Borel,
-unipotent and SL(2) checks, each scored from a class key built without any
-point.  The point checks run on key sets, built from the profiles' sorted
-masses without visiting a point (_slope_free): the group check once per
-(v_support, masses, marked), the unipotent check once per (v_support,
-masses, classify_unipotent status), and the torus case list against the
-polytope engine once per polytope class (one table per report,
-envelope._engine_table: every class read off one grid of the fixed
-points).  The slope-free parts, the masses, key sets and unipotent and
-SL(2) checks, are built apart from the slope ones.  The
-points' closed forms run on raw cores (envelope._group_case,
-_unipotent_worst, _torus_case), each through a binding of its own.  Only
-when some key disagrees does the point loop (_point_rows, in
-envelope._support_choices order) run, to write the rows; no EnvPoint is
-built for a point but a row's subject.
+per distinct input, in one walk over the census.  Per profile: the sorted
+root masses and the Borel, unipotent and SL(2) checks, each scored from a
+class key built without any point.  The point checks run on key sets,
+built from the profiles' sorted masses without visiting a point
+(_check_keys): the group check once per (v_support, masses, marked), the
+unipotent check once per (v_support, masses, classify_unipotent status),
+and the torus case list against the polytope engine once per polytope
+class (one table per report, envelope._engine_table: every class read off
+one grid of the fixed points).  The points' closed forms run on raw cores
+(envelope._group_case, _unipotent_worst, _torus_case), each through a
+binding of its own.  Only when some key disagrees does the point loop
+(_point_rows, in envelope._support_choices order) run, to write the rows;
+no EnvPoint is built for a point but a row's subject.
 
 One profile pass feeds both of the census command's reports: _census
 runs diff_report's pass, which keeps per profile the classify_borel
@@ -100,7 +98,7 @@ from .envelope import (
 from .binary_forms import classify_unipotent as _point_unipotent
 from .envelope import _torus_case as _torus_case_list
 from .hilbert_mumford import Status
-from .polytope import _Record
+from .polytope import _Record, _value_text
 
 DEFAULT_MAX_CENSUS_N = 12
 
@@ -129,7 +127,7 @@ def census_size_formula(n: int) -> int:
 def enumerate_profiles(n: int, max_n: int = DEFAULT_MAX_CENSUS_N) -> tuple[Divisor, ...]:
     """Complete, duplicate-free census of degree-n profiles."""
     if not 1 <= n <= max_n:
-        raise ValueError(f"census degree {n} outside guard range [1, {max_n}]")
+        raise ValueError(f"census degree {_value_text(n)} outside guard range [1, {_value_text(max_n)}]")
     return tuple(_all_profiles(n))
 
 
@@ -326,11 +324,14 @@ def _profile_pass(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, list]:
     closed form at its embedded point, as strong_envelope_report computes
     them.
 
-    The profile checks run per profile.  Each completion-point check runs
-    once per key: the tuple of every argument its two sides read beyond n,
-    m and r, which are the report's.  Both sides are pure functions of
-    their arguments, so a check that holds at a key holds at every point
-    with that key, and the key sets below hold exactly the census's keys:
+    The profile checks run per profile, in one walk over the census that
+    also collects the distinct sorted masses and (masses,
+    _point_unipotent(d)) pairs, from which _check_keys generates the key
+    sets.  Each completion-point check runs once per key: the tuple of
+    every argument its two sides read beyond n, m and r, which are the
+    report's.  Both sides are pure functions of their arguments, so a check
+    that holds at a key holds at every point with that key, and the key
+    sets below hold exactly the census's keys:
       group      _class_worst((full, v0, v12, masses, marked)) reads the
                  v-support's flags v0 and v12, the sorted root masses and
                  the marked root; _group_case(sup, marked, top, n, m, r)
@@ -370,24 +371,37 @@ def _profile_pass(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, list]:
     borel, unip, full = GroupKind.BOREL, GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP
     # placement classes scored so far, for this report's linearisation only
     seen: dict = {}
-    profiles, group_keys, unipotent_keys, checked = _slope_free(census, n, seen)
     # polytope engine status per polytope class
     engine = _engine_table(n, m, r)[1]
     rows: list[DiffRow] = []
     statuses = []
-    for d, masses, unipotent_worst, sl2_worst, unipotent, sl2 in profiles:
+    # the distinct sorted-mass tuples, in census order, each the one copy
+    # that its profiles' class keys and pairs share
+    shared: dict = {}
+    pairs: dict = {}  # distinct (masses, _point_unipotent(d)), in census order
+    checked = len(census)
+    for d in census:
         a = d.mult_inf
+        masses = tuple(sorted(d.all_mults()))
+        masses = shared.setdefault(masses, masses)
         intrinsic = classify_borel(d, lin)
-        # Borel's class key of the embedded point, built as _point_key builds it
+        # Borel's class key of the embedded point, built as _point_key builds
+        # it; the unipotent and SL(2) checks' at v = [1:1:0] and, for the
+        # SL(2) weights 2i - n over all slot placements, at v = [1:0:0]
         _record(rows, d, (
             ("borel closed form vs Borel placements",
              _class_worst((borel, a, tuple(sorted({0, d.mult_zero, *d.generic}))), n, lin, seen),
              intrinsic),
-            ("unipotent closed form vs SL(2) placements", unipotent_worst, unipotent),
-            ("sl2 closed form vs slot placements", sl2_worst, sl2),
+            ("unipotent closed form vs SL(2) placements",
+             _class_worst((unip, True, True, masses, None), n, None, seen), classify_unipotent(d)),
+            ("sl2 closed form vs slot placements",
+             _class_worst((unip, True, False, masses, None), n, None, seen), classify_sl2(d)),
         ))
         # the embedded point's group closed form: its marked root is mult_inf
         statuses.append((d, intrinsic, _group_case(_EMBEDDED_SUPPORT, a, masses[-1], n, m, r)))
+        pairs[masses, _point_unipotent(d)] = None
+        checked += 5 + 2 * len({0, *d.generic})
+    group_keys, unipotent_keys = _check_keys(shared, pairs)
     agree = all(
         _class_worst((full, 0 in sup, 1 in sup or 2 in sup, masses, marked), n, lin, seen)
         == _group_case(sup, marked, masses[-1], n, m, r)
@@ -408,38 +422,17 @@ def _profile_pass(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, list]:
     return DiffReport(n, lin, checked, tuple(rows)), statuses
 
 
-def _slope_free(census, n: int, seen: dict) -> tuple[list, Iterator, Iterator, int]:
-    # the parts of _profile_pass that no slope changes: per profile d, its
-    # sorted root masses, the placement and closed-form sides of its
-    # unipotent and SL(2) checks; the group and unipotent check keys, as
-    # _profile_pass's docstring derives them, each generated on demand; and
-    # checked.  seen is the report's status table.
-    unip = GroupKind.UNIPOTENT_ENVELOPE
-    profiles = []
-    # per sorted-mass tuple, in census order: itself and the placement side
-    # of both profile checks, its class keys at v = [1:1:0] and, for the
-    # SL(2) weights 2i - n over all slot placements, at v = [1:0:0].  The
-    # profiles share its one copy of masses and the keys are generated, not
-    # listed: what the pass keeps alive is what starts a garbage collection
-    # (a clean census --n 4 ran one, of about 80 microseconds, when it kept
-    # them)
-    scans: dict = {}
-    pairs: dict = {}  # distinct (masses, _point_unipotent(d)), in census order
-    checked = len(census)
-    for d in census:
-        masses = tuple(sorted(d.all_mults()))
-        scan = scans.get(masses)
-        if scan is None:
-            scan = scans[masses] = (masses,
-                                    _class_worst((unip, True, True, masses, None), n, None, seen),
-                                    _class_worst((unip, True, False, masses, None), n, None, seen))
-        profiles.append((d, *scan, classify_unipotent(d), classify_sl2(d)))
-        pairs[scan[0], _point_unipotent(d)] = None
-        checked += 5 + 2 * len({0, *d.generic})
-    group = ((sup, masses, marked) for masses in scans for sup in _V_SUPPORTS
-             for marked in (sorted({0, *masses}) if 1 in sup or 2 in sup else (None,)))
-    unipotent = ((sup, masses, u) for masses, u in pairs for sup in _V_SUPPORTS)
-    return profiles, group, unipotent, checked
+def _check_keys(masses, pairs) -> tuple[Iterator, Iterator]:
+    # the group and unipotent check keys, as _profile_pass's docstring
+    # derives them, from masses, the census's distinct sorted-mass tuples,
+    # and pairs, its distinct (masses, _point_unipotent(d)).  Each is
+    # generated on demand, not listed: what the pass keeps alive is what
+    # starts a garbage collection (a clean census --n 4 ran one, of about
+    # 80 microseconds, when it kept them)
+    group = ((sup, ms, marked) for ms in masses for sup in _V_SUPPORTS
+             for marked in (sorted({0, *ms}) if 1 in sup or 2 in sup else (None,)))
+    unipotent = ((sup, ms, u) for ms, u in pairs for sup in _V_SUPPORTS)
+    return group, unipotent
 
 
 def _point_rows(census, n: int, lin: LinParam, seen: dict, engine: dict) -> tuple[list, int]:

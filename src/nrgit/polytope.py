@@ -20,7 +20,7 @@ _locate_sorted, the one hull body, builds the monotone-chain hull of sorted
 distinct points and reads the verdict off the signs of its edges in one
 pass.  _locate_points reads rows at a given N and hands their points to it:
 _locate gives it the certified N = B, the concrete path
-(envelope._concrete_status) the N being studied.  The census engine check
+(envelope.concrete_torus_case_status) the N being studied.  The census engine check
 (envelope._engine_table) reads every fixed row once, at the certified N of
 all of them, and hands each polytope class's points off that grid to the
 body.
@@ -310,12 +310,11 @@ def contains_origin(S: WeightSet) -> OriginLocation:
 
     The weights are scaled to integers for _locate, which reads the rows at
     its certified N = B (_locate_points) and hands their points to
-    _locate_sorted, the one hull body.  concrete_torus_case_status reaches
-    the body with a class's rows and a concrete N
-    (envelope._concrete_status); the census engine check
-    (envelope._engine_table) with each polytope class's points, read off
-    one grid of all the fixed rows at an N no smaller than the class's own
-    certified N.  The body builds the ccw hull of the points once, and one
+    _locate_sorted, the one hull body.  envelope.concrete_torus_case_status
+    reaches the body with a class's rows and a concrete N; the census
+    engine check (envelope._engine_table) with each polytope class's
+    points, read off one grid of all the fixed rows at an N no smaller than
+    the class's own certified N.  The body builds the ccw hull of the points once, and one
     pass over its edges decides: outside if the origin is strictly right of
     an edge, boundary if on an edge's line, else interior.
     """

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import nrgit
 from helpers import report_flatten, report_json
-from nrgit import DegreeOverflowError, cli
+from nrgit import DegreeOverflowError, Status, cli
 
 
 def run(capsys, *argv):
@@ -644,6 +644,33 @@ class TestUsageErrors:
         code, _, err = run(capsys, "diagram", "--n", "3", "--N", at)
         assert (code, err) == (2, "error: diagram coordinates do not fit a float; use a smaller --N\n")
 
+    # numbers int() reads but too long to quote: a message names each as
+    # polytope._value_text names a rational, and an argument of at most 50
+    # characters as written
+    NINES, ONES = "9" * 4300, "1" * 4300
+    SUM = "error: degree mismatch: multiplicities sum to about 1.99999e+4300, expected 3\n"
+    CEILING = "argument --n: degree about 9.99999e+4299 exceeds the ceiling 100000\n"
+
+    @pytest.mark.parametrize("argv, shown", [
+        (("classify", "--n", "3", "--profile", f"inf={NINES},zero={NINES}"), SUM),
+        (("classify", "--n", "3", "--profile", f"roots={NINES}+{NINES}"), SUM),
+        (("classify", "--n", NINES), "sum to 0, expected about 9.99999e+4299\n"),
+        (("census", "--n", ONES),
+         "error: census degree about 1.11111e+4299 outside guard range [1, 12]\n"),
+        (("weights", "--n", NINES), CEILING),
+        (("walls", "--n", NINES), CEILING),
+        (("classify", "--n", f"-{NINES}"), "got about -9.99999e+4299\n"),
+        (("classify", "--n", "3", "--m", f"-{NINES}"), "got about -9.99999e+4299\n"),
+        (("classify", "--n", "-0"), "argument --n: expected a positive integer, got -0\n"),
+        (("census", "--n", "-" + "0" * 49), "got -" + "0" * 49 + "\n"),
+    ], ids=["profile-slots", "profile-roots", "n-expected", "census-n", "weights-n", "walls-n",
+            "n-negative", "m-negative", "n-minus-zero", "n-50-characters"])
+    def test_a_number_too_long_to_quote_is_named_by_its_first_digits(self, capsys, argv, shown):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(shown) and len(err.encode()) < 300
+        assert "set_int_max_str_digits" not in err
+
 
 class TestHarness:
     def test_unknown_subcommand(self, capsys):
@@ -824,6 +851,20 @@ def test_emitter_writes_the_standard_librarys_bytes(tree, inputs, result, notes)
     report_flatten("result", result, lines)
     lines += [f"note: {note}" for note in notes]
     assert cli.emit_report("c", inputs, result, notes, "text") == "\n".join(lines) + "\n"
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize("leaf", [_Text('a"\x7f\u00e9'), Status.STABLE, 2**64 + 1, -2**70, "plain"],
+                         ids=["str-subclass", "IntEnum", "int-past-2**64", "negative-int", "str"])
+def test_a_scalar_is_written_as_json_dumps_writes_it(leaf):
+    # a bare leaf takes _json's one scalar fallback, json.dumps; in a dict
+    # or a list an exact str or int is written inline, a subclass through
+    # that fallback
+    for value in (leaf, {"k": leaf}, [leaf]):
+        assert cli._json(value, "") == json.dumps(value, indent=2, sort_keys=True)
 
 
 def pinned_lines(n):

@@ -36,11 +36,10 @@ from nrgit import (
 )
 
 from nrgit.envelope import (
-    _class_rows, _concrete_status, _engine_table, _polytope_class, _polytope_classes,
-    _torus_case,
+    _class_rows, _engine_table, _polytope_class, _polytope_classes, _torus_case,
 )
 from nrgit.hilbert_mumford import _LOCATION_TO_STATUS
-from nrgit.polytope import _certified_n, _integer_weights, _locate
+from nrgit.polytope import _certified_n, _integer_weights, _locate, _locate_points
 
 from helpers import (
     hull_polygon, lin_for, n_threshold_by_points, N_STAR, scaled_minkowski, tau_grid,
@@ -434,11 +433,13 @@ class TestConcreteThreshold:
                 rows = _class_rows(key, n, m, r)
                 want = _torus_case(*key, n, m, r)
                 for big_n in (n_star, n_star + 1, 2 * n_star, _certified_n(rows)):
-                    assert _concrete_status(rows, big_n) is want, (n, lin, key, big_n)
+                    got = _LOCATION_TO_STATUS[_locate_points(rows, big_n)]
+                    assert got is want, (n, lin, key, big_n)
             rows = _class_rows(witness, n, m, r)
             want = _torus_case(*witness, n, m, r)
             for small_n in range(1, r + 1):
-                assert _concrete_status(rows, small_n) is not want, (n, lin, small_n)
+                got = _LOCATION_TO_STATUS[_locate_points(rows, small_n)]
+                assert got is not want, (n, lin, small_n)
             n0 = n_threshold(n, lin)
             assert n0 & (n0 - 1) == 0 and n0 >= n_star > n0 // 2, (n, lin, n0)
 

@@ -87,6 +87,55 @@ class TestCensus:
             enumerate_profiles(13)
         assert len(enumerate_profiles(13, max_n=13)) == census_size_formula(13)
 
+    @staticmethod
+    def status_counts(n, lin):
+        # (stable, strictly semistable, unstable) profile counts from
+        # classify_borel's thresholds alone: a profile is semistable when its
+        # [1:0] mass a has 2am <= nm - r and every other mass c has 2cm <=
+        # nm + r, stable with both strict, so each count is a sum over the
+        # slot masses a and b of p_{<=C}(n - a - b), the partitions of the
+        # generic masses into parts of at most C
+        m, r = lin.m, lin.r
+
+        def bounded(a_max, c_max):
+            # profiles with mult_inf <= a_max and every other mass <= c_max
+            p = [1] + [0] * n
+            for part in range(1, min(c_max, n) + 1):
+                for total in range(part, n + 1):
+                    p[total] += p[total - part]
+            return sum(p[n - a - b] for a in range(min(a_max, n) + 1)
+                       for b in range(min(c_max, n - a) + 1))
+
+        if r < 0 or r > n * m:
+            semistable = stable = 0
+        elif r == 0:
+            semistable, stable = bounded(n // 2, n // 2), 0
+        else:
+            semistable = bounded((n * m - r) // (2 * m), (n * m + r) // (2 * m))
+            stable = bounded((n * m - r - 1) // (2 * m), (n * m + r - 1) // (2 * m))
+        return stable, semistable - stable, census_size_formula(n) - semistable
+
+    def test_census_tallies_are_restricted_partition_sums(self):
+        # an enumeration of the right size but the wrong profiles keeps
+        # census_size_formula and can keep a clean diff_report; its tallies
+        # part from these closed-form counts
+        from nrgit.oracle import _census
+
+        for n in range(1, 9):
+            for tau in tau_grid(n):
+                lin = lin_for(tau)
+                report = _census(n, lin, n)[1]
+                want = self.status_counts(n, lin)
+                assert report.counts_intrinsic == report.counts_envelope == want, (n, lin)
+        for n in range(1, 13):
+            census = enumerate_profiles(n)
+            for m in (1, 2, 3):
+                for r in range(-1, n * m + 2):
+                    lin = LinParam(m, r)
+                    got = Counter(classify_borel(d, lin) for d in census)
+                    want = self.status_counts(n, lin)
+                    assert tuple(got[s] for s in reversed(Status)) == want, (n, lin)
+
 
 class TestMoveSets:
     def test_torus_only_is_identity(self):
@@ -442,12 +491,13 @@ class TestKeyedPass:
         # the keys come from the profiles' sorted masses alone, so they must
         # be the distinct arguments collected point by point through
         # envelope._support_choices, and checked its count of points
-        from nrgit.oracle import _slope_free
+        from nrgit.oracle import _check_keys
 
         for n in range(1, 11):
             census = enumerate_profiles(n, n)
-            _, group, unipotent, checked = _slope_free(census, n, {})
-            group, unipotent = list(group), list(unipotent)
+            masses = dict.fromkeys(tuple(sorted(d.all_mults())) for d in census)
+            pairs = dict.fromkeys((tuple(sorted(d.all_mults())), classify_unipotent(d)) for d in census)
+            group, unipotent = map(list, _check_keys(masses, pairs))
             want_group, want_unipotent = set(), set()
             for p in enumerate_env_points(n):
                 sup, d = p.v_support, p.divisor
@@ -460,7 +510,7 @@ class TestKeyedPass:
             assert len(group) == len(want_group) and set(group) == want_group, n
             assert len(unipotent) == len(want_unipotent) and set(unipotent) == want_unipotent, n
             lin = LinParam(1, 1)
-            assert checked == diff_report(n, lin, n).checked == self.writer_report(n, lin).checked, n
+            assert diff_report(n, lin, n).checked == self.writer_report(n, lin).checked, n
 
     def test_keyed_pass_matches_the_row_writer_on_tau_grid(self):
         from nrgit.oracle import _profile_pass

@@ -26,9 +26,9 @@ from nrgit import (
     witness_lambdas,
 )
 
-from nrgit.envelope import _class_rows, _concrete_status, _polytope_class
+from nrgit.envelope import _class_rows, _polytope_class
 from nrgit.hilbert_mumford import _LOCATION_TO_STATUS
-from nrgit.polytope import _certified_n, _eventual_sign, _locate, _value_text
+from nrgit.polytope import _certified_n, _eventual_sign, _locate, _locate_points, _value_text
 
 from helpers import (
     assert_n_star_past_certified_n,
@@ -357,7 +357,7 @@ class TestCertifiedN:
                     want = _LOCATION_TO_STATUS[_locate(rows)]
                     b = _certified_n(rows)
                     for n_value in (b, b + 1, 4 * b):
-                        got = _concrete_status(rows, n_value)
+                        got = _LOCATION_TO_STATUS[_locate_points(rows, n_value)]
                         assert got is want, (n, tau, key, n_value)
 
     def test_n_star_lies_past_certified_n_on_class_rows(self):
