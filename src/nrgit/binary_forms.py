@@ -59,12 +59,25 @@ def _check_positive_degree(n: int) -> None:
         raise ValueError(f"degree must be positive, got {n}")
 
 
+def _refusal(what: str, value: int, d: Divisor) -> str:
+    # "<what> in <repr(d)>" while every number of d has at most 50 digits
+    # and the repr fits in 200 characters; past that, the offending value
+    # and the degree as polytope._value_text names them
+    if all(abs(x) < 10**50 for x in (d.n, d.mult_inf, d.mult_zero, *d.generic)):
+        text = repr(d)
+        if len(text) <= 200:
+            return f"{what} in {text}"
+    return f"{what} {_value_text(value)} in a Divisor of degree {_value_text(d.n)}"
+
+
 def validate(d: Divisor) -> Divisor:
     _check_positive_degree(d.n)
     if d.mult_inf < 0 or d.mult_zero < 0:
-        raise ValueError(f"negative special multiplicity in {d!r}")
+        raise ValueError(
+            _refusal("negative special multiplicity", min(d.mult_inf, d.mult_zero), d))
     if any(g < 1 for g in d.generic):
-        raise ValueError(f"nonpositive generic multiplicity in {d!r}")
+        # generic is sorted descending: its last entry is the least
+        raise ValueError(_refusal("nonpositive generic multiplicity", d.generic[-1], d))
     total = d.mult_inf + d.mult_zero + sum(d.generic)
     if total != d.n:
         raise ValueError(
@@ -230,21 +243,22 @@ def sequiv_witness(d: Divisor, lin: LinParam) -> list[MoveStep]:
 
 
 def _partitions(total: int) -> list[tuple[int, ...]]:
-    if total == 0:
-        return [()]
     out = []
-
-    def rec(remaining, cap, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(total, total, [])
+    _add_partitions(total, total, [], out)
     return out
+
+
+def _add_partitions(remaining: int, cap: int, acc: list[int], out: list) -> None:
+    # appends acc plus each partition of remaining into parts of at most cap,
+    # parts descending, in reverse lexicographic order; a module function,
+    # not a closure, which would refer to itself and leave a cycle for gc
+    if remaining == 0:
+        out.append(tuple(acc))
+        return
+    for part in range(min(remaining, cap), 0, -1):
+        acc.append(part)
+        _add_partitions(remaining - part, part, acc, out)
+        acc.pop()
 
 
 def _all_profiles(n: int) -> list[Divisor]:

@@ -54,6 +54,9 @@ def _census_guard() -> int:
     try:
         return int(raw)
     except ValueError:
+        too_long = _too_long(raw)
+        if too_long is not None:
+            raise ValueError(f"NRGIT_MAX_CENSUS_N holds {too_long}")
         raise ValueError(f"NRGIT_MAX_CENSUS_N must be an integer, got {raw!r}")
 
 
@@ -73,40 +76,51 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"expected a rational p/q, got {text!r}")
 
 
+def _too_long(text: str) -> str | None:
+    """The words `a number of more than <limit> digits: <first digits>` for
+    the first number in text written with more digits than int() and
+    Fraction() read (sys.get_int_max_str_digits(), 4300 unless changed), or
+    None.  Their own ValueError would make the value malformed and quote it
+    in full; this names the number by its first digits, as
+    polytope._value_text names a rational."""
+    # Python before 3.10.7 reads any number of digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or len(text) <= limit:
+        return None
+    # runs of digits, each with the sign before it; int() skips a "_"
+    words = "".join(
+        ch if ch.isdecimal() or ch == "-" else "" if ch == "_" else " " for ch in text
+    ).replace("-", " -").split()
+    for word in words:
+        written = word.lstrip("-")
+        if len(written) <= limit:
+            continue
+        digits = written.lstrip("0") or "0"
+        sign = "-" if word[0] == "-" and digits != "0" else ""
+        shown = (f"{sign}{digits}" if len(digits) <= 50
+                 else f"about {sign}{digits[0]}.{digits[1:6]}e+{len(digits) - 1}")
+        return f"a number of more than {limit} digits: {shown}"
+    return None
+
+
 def _long_number(argv: list[str]) -> str | None:
-    """The refusal of the first argument that holds a number written with
-    more digits than int() and Fraction() read (sys.get_int_max_str_digits(),
-    4300 unless changed), or None.  Their own ValueError would make the
-    value malformed and quote it in full; this names its flag, and the
-    number by its first digits as polytope._value_text names a rational.
+    """The refusal of the first argument that holds a number too long for
+    int() to read (_too_long), naming its flag, or None.
 
     main asks only when a line fails, so a clean line pays nothing: every
     line holding such a number fails, in _scan for a flag read by int() or
     with choices, which leaves the line to argparse, and in its handler,
     as a ValueError, for --tau, --N, --profile and --out.
     """
-    # Python before 3.10.7 reads any number of digits
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     for k, text in enumerate(argv):
-        if not limit or len(text) <= limit:
+        too_long = _too_long(text)
+        if too_long is None:
             continue
-        # runs of digits, each with the sign before it; int() skips a "_"
-        words = "".join(
-            ch if ch.isdecimal() or ch == "-" else "" if ch == "_" else " " for ch in text
-        ).replace("-", " -").split()
-        for word in words:
-            written = word.lstrip("-")
-            if len(written) <= limit:
-                continue
-            digits = written.lstrip("0") or "0"
-            sign = "-" if word[0] == "-" and digits != "0" else ""
-            shown = (f"{sign}{digits}" if len(digits) <= 50
-                     else f"about {sign}{digits[0]}.{digits[1:6]}e+{len(digits) - 1}")
-            if text.startswith("--") and "=" in text:
-                flag = text.partition("=")[0]
-            else:
-                flag = argv[k - 1] if k and argv[k - 1].startswith("-") else "an argument"
-            return f"{flag} holds a number of more than {limit} digits: {shown}"
+        if text.startswith("--") and "=" in text:
+            flag = text.partition("=")[0]
+        else:
+            flag = argv[k - 1] if k and argv[k - 1].startswith("-") else "an argument"
+        return f"{flag} holds {too_long}"
     return None
 
 
@@ -154,39 +168,54 @@ def _json(value, indent: str) -> str:
     """The bytes of `json.dumps(value, indent=2, sort_keys=True)` for a report
     value (str keys), nested at `indent`, without json's pure-Python encoder,
     which an indent selects."""
-    import json  # here alone: only --format json needs it
+    import json  # here and in _json_text alone: only --format json needs it
 
-    quote = json.encoder.encode_basestring_ascii  # json's own C string encoder
+    # json's own C string encoder
+    return _json_text(value, indent, {}, json.encoder.encode_basestring_ascii)
 
-    def write(value, indent: str) -> str:
-        if isinstance(value, _CONTAINERS):
-            if not value:
-                return "{}" if isinstance(value, dict) else "[]"
-            inner = indent + "  "
-            sep = ",\n" + inner
-            # str and exact int items inline, with no call each: the bulk of
-            # a large report; an exact int formats as int.__repr__ does
-            if isinstance(value, dict):
-                body = sep.join([
-                    f"{quote(k)}: "
-                    f"{quote(v) if type(v) is str else v if type(v) is int else write(v, inner)}"
-                    for k, v in sorted(value.items())
-                ])
-                return f"{{\n{inner}{body}\n{indent}}}"
+
+def _json_text(value, indent: str, memo: dict, quote) -> str:
+    # memo holds each container's text by (id, indent), so a container the
+    # report holds in several places (cmd_walls's profile dicts) is written
+    # once per indent level; no id is reused during the write, since the
+    # report keeps every container alive until the write returns
+    if isinstance(value, _CONTAINERS):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        key = (id(value), indent)
+        text = memo.get(key)
+        if text is not None:
+            return text
+        inner = indent + "  "
+        sep = ",\n" + inner
+        # str and exact int items inline, with no call each: the bulk of
+        # a large report; an exact int formats as int.__repr__ does
+        if isinstance(value, dict):
             body = sep.join([
-                quote(v) if type(v) is str else f"{v}" if type(v) is int else write(v, inner)
+                f"{quote(k)}: "
+                + (quote(v) if type(v) is str else f"{v}" if type(v) is int
+                   else _json_text(v, inner, memo, quote))
+                for k, v in sorted(value.items())
+            ])
+            text = f"{{\n{inner}{body}\n{indent}}}"
+        else:
+            body = sep.join([
+                quote(v) if type(v) is str else f"{v}" if type(v) is int
+                else _json_text(v, inner, memo, quote)
                 for v in value
             ])
-            return f"[\n{inner}{body}\n{indent}]"
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        return json.dumps(value)
+            text = f"[\n{inner}{body}\n{indent}]"
+        memo[key] = text
+        return text
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    import json
 
-    return write(value, indent)
+    return json.dumps(value)
 
 
 def _flatten(prefix: str, value, lines: list[str]):
@@ -294,7 +323,10 @@ def cmd_walls(args) -> int:
         else:
             key, shown = "value", str(seg.value)
         if seg.kind not in profiles:
-            tau = (lo + hi) / 2 if seg.kind is WallKind.CHAMBER else seg.value
+            tau = seg.value
+            if seg.kind is WallKind.CHAMBER:
+                # the int midpoint, or 1/2 in the chamber (0, 1) of an odd degree
+                tau = (lo + hi) // 2 if (lo + hi) % 2 == 0 else _fraction()(lo + hi, 2)
             profiles[seg.kind] = _profile_payload(chamber_profile(args.n, tau))
         # text output prints the keys in insertion order
         segments.append({"kind": seg.kind.value, key: shown, "profile": profiles[seg.kind]})

@@ -2,9 +2,11 @@
 
 Stability of degree-n configurations jumps only at tau = 0, tau = n, and the
 interior values 0 < tau < n with n - tau even; between consecutive walls the
-classification is constant and stable = semistable.  Each regime's quotient
-is reported symbolically: kind, dimension, and at interior walls the
-weighted-projective exceptional loci of the flip.
+classification is constant and stable = semistable.  Every wall is an
+integer, so walls() records int bounds and builds no Fraction; wall_values()
+gives the same slopes as Fractions.  Each regime's quotient is reported
+symbolically: kind, dimension, and at interior walls the weighted-projective
+exceptional loci of the flip.
 
 The quotient kind needs only two census facts, and both have closed forms in
 n and tau, so no profile is enumerated.  Spreading the mass over n simple
@@ -34,11 +36,11 @@ class WallKind(Enum):
 
 
 class WallChamber(_Record):
-    """A wall (value: Fraction) or an open chamber (value: (lo, hi))."""
+    """A wall (value: int) or an open chamber (value: (lo, hi), ints)."""
 
     __slots__ = ("kind", "value")
 
-    def __init__(self, kind: WallKind, value: Fraction | tuple[Fraction, Fraction]):
+    def __init__(self, kind: WallKind, value: int | tuple[int, int]):
         self._set(kind, value)
 
 
@@ -66,16 +68,22 @@ class FlipData(_Record):
         self._set(s, e_plus_weights, e_minus_weights, slice_weights)
 
 
+def _wall_ints(n: int) -> list[int]:
+    # every wall is an integer: walls() keeps them as ints
+    _check_positive_degree(n)
+    return [q for q in range(n + 1) if _is_wall(n, q)]
+
+
 def wall_values(n: int) -> list[Fraction]:
     """Sorted wall slopes: 0, n, and interior q with n - q even."""
-    _check_positive_degree(n)
     Fraction = _fraction()
-    return [Fraction(q) for q in range(n + 1) if _is_wall(n, q)]
+    return [Fraction(q) for q in _wall_ints(n)]
 
 
 def walls(n: int) -> list[WallChamber]:
-    """Walls and the open chambers interleaving them, ascending."""
-    vals = wall_values(n)
+    """Walls and the open chambers interleaving them, ascending, with int
+    bounds."""
+    vals = _wall_ints(n)
     out: list[WallChamber] = []
     for i, v in enumerate(vals):
         if v == 0:
@@ -101,10 +109,12 @@ def chamber_profile(n: int, tau) -> QuotientProfile:
     walls); an interior wall adds one strictly semistable S-equivalence class
     to the stable part; tau = n collapses everything to a single point.
     Off the end walls a stable configuration exists as soon as a semistable
-    one does, so no census of profiles is needed.
+    one does, so no census of profiles is needed.  An int tau is used as it
+    is; any other is read by Fraction.
     """
     _check_positive_degree(n)
-    tau = _fraction()(tau)
+    if type(tau) is not int:
+        tau = _fraction()(tau)
     if not 0 <= tau <= n:
         raise ValueError(f"tau={tau} outside [0, {n}]")
     if n + tau < 2:

@@ -51,6 +51,27 @@ class TestDivisorValidation:
         with pytest.raises(ValueError):
             Divisor(4, -1, 5, ())
 
+    @pytest.mark.parametrize("args, message", [
+        ((4, -1, 5, ()), "negative special multiplicity in "
+                         "Divisor(n=4, mult_inf=-1, mult_zero=5, generic=())"),
+        ((4, 2, 2, (0,)), "nonpositive generic multiplicity in "
+                          "Divisor(n=4, mult_inf=2, mult_zero=2, generic=(0,))"),
+        ((3, 0, 0, (0, 10**4299)), "nonpositive generic multiplicity 0 in a Divisor of degree 3"),
+        ((3, -1, 0, (10**4299,)), "negative special multiplicity -1 in a Divisor of degree 3"),
+        ((3, 0, -10**5000, ()),
+         "negative special multiplicity about -1.00000e+5000 in a Divisor of degree 3"),
+        ((3, 0, 0, (1,) * 60 + (-1,)), "nonpositive generic multiplicity -1 in a Divisor of degree 3"),
+    ], ids=["special", "generic", "long-root", "long-root-special", "past-the-digit-limit",
+            "many-roots"])
+    def test_a_refusal_quotes_a_short_divisor_and_names_the_value_of_a_long_one(
+            self, args, message):
+        # the whole repr while it is short; past 200 characters or past 50
+        # digits in one number, the offending multiplicity and the degree,
+        # each as polytope._value_text names it
+        with pytest.raises(ValueError) as info:
+            Divisor(*args)
+        assert str(info.value) == message
+
     def test_generic_anonymized_sorted(self):
         assert Divisor(6, 0, 0, (1, 3, 2)) == Divisor(6, 0, 0, (3, 2, 1))
 

@@ -1,5 +1,6 @@
 """Command-line interface: payloads, formats, exit codes."""
 
+import gc
 import hashlib
 import json
 import os
@@ -505,6 +506,16 @@ class TestLeanStartup:
         )
         assert out.splitlines()[-1] == f"exit 0 {loaded}"
 
+    @pytest.mark.parametrize("fmt, loaded", [("text", []), ("json", ["json", "re"])])
+    def test_walls_at_an_even_degree_builds_no_fraction(self, fmt, loaded):
+        # every wall and every chamber midpoint of an even degree is an int
+        out = self.fresh(
+            "import nrgit.cli\n"
+            f"code = nrgit.cli.main(['walls', '--n', '16', '--format', {fmt!r}])\n"
+            "print('exit', code, loaded())\n"
+        )
+        assert out.splitlines()[-1] == f"exit 0 {loaded}"
+
     def test_help_still_reaches_argparse(self):
         out = self.fresh(
             "import nrgit.cli\n"
@@ -670,6 +681,33 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.endswith(shown) and len(err.encode()) < 300
         assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("profile, shown", [
+        (f"roots=0+{NINES}", "error: nonpositive generic multiplicity 0 in a Divisor of degree 3\n"),
+        (f"inf=-1,roots={NINES}", "error: negative special multiplicity -1 in a Divisor of degree 3\n"),
+        ("inf=-1,roots=4", "error: negative special multiplicity in "
+                           "Divisor(n=3, mult_inf=-1, mult_zero=0, generic=(4,))\n"),
+        ("roots=0+3", "error: nonpositive generic multiplicity in "
+                      "Divisor(n=3, mult_inf=0, mult_zero=0, generic=(3, 0))\n"),
+    ], ids=["generic-long", "special-long", "special-short", "generic-short"])
+    def test_a_profile_refusal_names_a_long_divisor_by_its_multiplicity(self, capsys, profile, shown):
+        # not the whole Divisor repr with its 4300-digit root; a short one
+        # keeps its bytes
+        code, out, err = run(capsys, "classify", "--n", "3", "--profile", profile)
+        assert (code, out, err) == (2, "", shown)
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python reads any number of digits")
+    @pytest.mark.parametrize("value, shown", [
+        (LONG, f"about 1.11111e+{DIGIT_LIMIT}"),
+        (f" -0{LONG} ", f"about -1.11111e+{DIGIT_LIMIT}"),
+    ], ids=["long", "negative-padded"])
+    def test_a_census_guard_too_long_to_read_is_named_by_its_first_digits(
+            self, capsys, monkeypatch, value, shown):
+        monkeypatch.setenv("NRGIT_MAX_CENSUS_N", value)
+        code, out, err = run(capsys, "census", "--n", "4")
+        assert (code, out) == (2, "")
+        assert err == (f"error: NRGIT_MAX_CENSUS_N holds a number of more than "
+                       f"{self.DIGIT_LIMIT} digits: {shown}\n")
 
 
 class TestHarness:
@@ -865,6 +903,64 @@ def test_a_scalar_is_written_as_json_dumps_writes_it(leaf):
     # that fallback
     for value in (leaf, {"k": leaf}, [leaf]):
         assert cli._json(value, "") == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_a_container_held_twice_is_written_as_json_dumps_writes_it():
+    # one dict object twice at one depth and once at another, as cmd_walls
+    # shares its profile dicts between segments
+    shared = {"kind": "Chamber", "dimension": 2, "note": None, "roots": [1, 2]}
+    tree = {"walls": [{"profile": shared}, {"profile": shared}], "top": shared}
+    assert cli._json(tree, "") == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def _containers(value):
+    if isinstance(value, (dict, list, tuple)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _containers(item)
+
+
+def test_the_json_memo_keys_each_live_container_by_its_id():
+    # the memo is sound because the report keeps each container alive for
+    # the whole write: each memo key is the id of a container of the report,
+    # and its text is json.dumps of that container, at that indent
+    shared = {"a": [1, "x"], "b": {"c": None}}
+    tree = {"segments": [{"kind": f"k{i}", "interval": [str(i), str(i + 1)], "profile": shared}
+                         for i in range(50)],
+            "again": [shared, [[shared]]], "empty": [{}, []]}
+    memo = {}
+    text = cli._json_text(tree, "", memo, json.encoder.encode_basestring_ascii)
+    assert text == json.dumps(tree, indent=2, sort_keys=True)
+    live = {id(c): c for c in _containers(tree)}
+    for (key, indent), written in memo.items():
+        want = json.dumps(live[key], indent=2, sort_keys=True).replace("\n", "\n" + indent)
+        assert written == want
+    # shared sits at three depths: written once at each
+    assert sum(key == id(shared) for key, _ in memo) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--n", "4"),
+    ("census", "--n", "4", "--format", "json"),
+    ("walls", "--n", "16"),
+    ("walls", "--n", "16", "--format", "json"),
+    ("walls", "--n", "5", "--format", "json"),
+])
+def test_a_command_leaves_no_cyclic_garbage(capsys, argv):
+    # every object a command builds is freed by reference counting: a
+    # self-referencing closure would be left for the cyclic collector
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code, _, err = run(capsys, *argv)
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert (code, err) == (0, "")
+    assert garbage == []
 
 
 def pinned_lines(n):
