@@ -17,7 +17,7 @@ import itertools
 from enum import Enum
 
 from .hilbert_mumford import Status, _status
-from .polytope import _Record, _fraction, _value_text
+from .polytope import _SHOWN_DIGITS, _Record, _fraction, _value_text
 
 
 class Divisor(_Record):
@@ -60,10 +60,10 @@ def _check_positive_degree(n: int) -> None:
 
 
 def _refusal(what: str, value: int, d: Divisor) -> str:
-    # "<what> in <repr(d)>" while every number of d has at most 50 digits
-    # and the repr fits in 200 characters; past that, the offending value
-    # and the degree as polytope._value_text names them
-    if all(abs(x) < 10**50 for x in (d.n, d.mult_inf, d.mult_zero, *d.generic)):
+    # "<what> in <repr(d)>" while every number of d has at most _SHOWN_DIGITS
+    # digits and the repr fits in 200 characters; past that, the offending
+    # value and the degree as polytope._value_text names them
+    if all(abs(x) < 10**_SHOWN_DIGITS for x in (d.n, d.mult_inf, d.mult_zero, *d.generic)):
         text = repr(d)
         if len(text) <= 200:
             return f"{what} in {text}"

@@ -10,6 +10,11 @@ numbers are exact rationals printed as p/q, symbolic values as aN+b.  Exit
 codes: 0 success, 2 usage error, 3 census disagreement, 4 internal invariant
 violation.  NRGIT_MAX_CENSUS_N overrides the census size guard; weights, walls,
 flips and diagram, whose output grows with n, refuse n above 100000.
+
+A refusal names what the user typed by polytope's one rule: a number by
+_value_text, text by _user_text, each whole while short and bounded when
+long.  _read reads every typed option for both _scan and argparse, and
+refuses a value in argparse's own words under that rule.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import gc
 import math
 import os
 import sys
+from functools import partial
 from types import SimpleNamespace
 
 from .binary_forms import (
@@ -37,7 +43,7 @@ from .envelope import (
     unipotent_status,
 )
 from .oracle import DEFAULT_MAX_CENSUS_N, _census
-from .polytope import _affine_text, _fraction, _value_text
+from .polytope import _SHOWN_DIGITS, _affine_text, _fraction, _int_text, _user_text, _value_text
 from .vgit import WallKind, chamber_profile, flip_data, walls
 
 _DEGREE_CEILING = 100_000  # the largest n of weights, walls, flips and diagram
@@ -57,7 +63,7 @@ def _census_guard() -> int:
         too_long = _too_long(raw)
         if too_long is not None:
             raise ValueError(f"NRGIT_MAX_CENSUS_N holds {too_long}")
-        raise ValueError(f"NRGIT_MAX_CENSUS_N must be an integer, got {raw!r}")
+        raise ValueError(f"NRGIT_MAX_CENSUS_N must be an integer, got {_user_text(raw)}")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -68,12 +74,12 @@ def _parse_fraction(text: str) -> Fraction:
         too_large = False
     if too_large:
         raise ValueError(
-            f"expected an exponent of at most {_EXPONENT_CEILING} in size, got {text!r}"
+            f"expected an exponent of at most {_EXPONENT_CEILING} in size, got {_user_text(text)}"
         )
     try:
         return _fraction()(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"expected a rational p/q, got {text!r}")
+        raise ValueError(f"expected a rational p/q, got {_user_text(text)}")
 
 
 def _too_long(text: str) -> str | None:
@@ -81,8 +87,7 @@ def _too_long(text: str) -> str | None:
     the first number in text written with more digits than int() and
     Fraction() read (sys.get_int_max_str_digits(), 4300 unless changed), or
     None.  Their own ValueError would make the value malformed and quote it
-    in full; this names the number by its first digits, as
-    polytope._value_text names a rational."""
+    in full; this names the number as polytope._value_text does."""
     # Python before 3.10.7 reads any number of digits
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit or len(text) <= limit:
@@ -95,10 +100,11 @@ def _too_long(text: str) -> str | None:
         written = word.lstrip("-")
         if len(written) <= limit:
             continue
-        digits = written.lstrip("0") or "0"
-        sign = "-" if word[0] == "-" and digits != "0" else ""
-        shown = (f"{sign}{digits}" if len(digits) <= 50
-                 else f"about {sign}{digits[0]}.{digits[1:6]}e+{len(digits) - 1}")
+        # its first `limit` significant digits, then zeros: a number int()
+        # reads and _value_text names by the digits it shares with word
+        digits = written.lstrip("0")
+        value = int(digits[:limit] or "0") * 10 ** max(len(digits) - limit, 0)
+        shown = _value_text(-value if word[0] == "-" else value)
         return f"a number of more than {limit} digits: {shown}"
     return None
 
@@ -143,21 +149,21 @@ def parse_profile(text: str, n: int) -> Divisor:
         key, eq, val = chunk.partition("=")
         key = key.strip()
         if not eq:
-            raise ValueError(f"malformed profile field {chunk!r}")
+            raise ValueError(f"malformed profile field {_user_text(chunk)}")
         if key not in ("inf", "zero", "roots"):
-            raise ValueError(f"unknown profile field {key!r}")
+            raise ValueError(f"unknown profile field {_user_text(key)}")
         if key in fields:
             raise ValueError(f"profile field {key!r} given twice")
         if key == "roots":
             try:
                 fields[key] = tuple(_ascii_int(x) for x in val.split("+")) if val.strip() else ()
             except ValueError:
-                raise ValueError(f"malformed roots list {val!r}")
+                raise ValueError(f"malformed roots list {_user_text(val)}")
         else:
             try:
                 fields[key] = _ascii_int(val)
             except ValueError:
-                raise ValueError(f"malformed multiplicity {chunk!r}")
+                raise ValueError(f"malformed multiplicity {_user_text(chunk)}")
     return Divisor(n, fields.get("inf", 0), fields.get("zero", 0), fields.get("roots", ()))
 
 
@@ -256,7 +262,7 @@ def _write(args, inputs: dict, result: dict, notes: list[str]) -> int:
 def _ratio_text(num: int, den: int) -> str:
     # str(Fraction(num, den)) for den > 0, without building the Fraction
     g = math.gcd(num, den)
-    return f"{num // g}" if g == den else f"{num // g}/{den // g}"
+    return _int_text(num // g) if g == den else f"{_int_text(num // g)}/{_int_text(den // g)}"
 
 
 def _thresholds(n: int, m: int, r: int) -> dict:
@@ -452,7 +458,7 @@ def cmd_diagram(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(svg)
         except OSError as exc:
-            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
+            raise ValueError(f"cannot write --out {_user_text(args.out, str)}: {exc.strerror}") from None
     else:
         sys.stdout.write(svg)
     return 0
@@ -471,8 +477,8 @@ def _argparse():
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise _argparse().ArgumentTypeError(
-            f"expected a positive integer, got {text if len(text) <= 50 else _value_text(value)}")
+        shown = text if len(text) <= _SHOWN_DIGITS else _value_text(value)
+        raise _argparse().ArgumentTypeError(f"expected a positive integer, got {shown}")
     return value
 
 
@@ -510,6 +516,22 @@ _COMMANDS = (
 )
 
 
+def _read(kind, choices, text: str):
+    """An option's value: kind(text), or text for an option of no type, if
+    it is one of choices (when given).  _scan and argparse both read a
+    typed option through it.  A refused value raises ArgumentTypeError in
+    argparse's own words, with the text named by polytope._user_text; an
+    ArgumentTypeError of kind's own passes through."""
+    try:
+        value = kind(text) if kind else text
+        if choices is None or value in choices:
+            return value
+        refusal = f"invalid choice: {_user_text(text)} (choose from {', '.join(map(repr, choices))})"
+    except (TypeError, ValueError):
+        refusal = f"invalid {kind.__name__} value: {_user_text(text)}"
+    raise _argparse().ArgumentTypeError(refusal)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The nrgit parser: every subcommand of _COMMANDS."""
     parser = _argparse().ArgumentParser(
@@ -522,8 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for flag, kind, choices, default, flag_help in options:
             required = default is _REQUIRED
-            p.add_argument(flag, type=kind, choices=choices, required=required,
-                           default=None if required else default, help=flag_help)
+            # choices= only for the help's {text,json}: _read checks them
+            p.add_argument(flag, type=partial(_read, kind, choices), choices=choices,
+                           required=required, default=None if required else default, help=flag_help)
         p.set_defaults(func=handler)
     return parser
 
@@ -534,7 +557,7 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
     A clean line is a command, then `flag value` pairs: each flag one of the
     command's own, in full and once; each value not starting with `-`, or
     `-` and ASCII digits, which argparse always reads as a value; each
-    accepted by the flag's type and choices; every required flag given.
+    accepted by _read, as argparse reads it; every required flag given.
     Any other line gives None and is argparse's: help, abbreviations,
     `--flag=value`, `--` and every usage error.
     """
@@ -553,15 +576,12 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
             continue
         if text[:1] == "-" and not (text[1:].isascii() and text[1:].isdigit()):
             return None
-        # the except tuple is built only for a refused value, and argparse
-        # answers that line anyway
+        # the except clause imports argparse only for a refused value, and
+        # argparse answers that line anyway
         try:
-            value = kind(text) if kind else text
-        except (_argparse().ArgumentTypeError, TypeError, ValueError):
+            values[flag[2:]] = _read(kind, choices, text) if kind or choices else text
+        except _argparse().ArgumentTypeError:
             return None
-        if choices is not None and value not in choices:
-            return None
-        values[flag[2:]] = value
     return None if given else SimpleNamespace(cmd=name, func=handler, **values)
 
 

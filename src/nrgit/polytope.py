@@ -204,17 +204,42 @@ class AffineN(_Record):
 def _affine_text(n_coeff: int | Fraction, const: int | Fraction) -> str:
     # how AffineN(n_coeff, const) prints: "3", "N", "-N+2", "2N-1/2"
     if n_coeff == 0:
-        return str(const)
+        return _int_text(const)
     head = "N" if n_coeff == 1 else "-N" if n_coeff == -1 else f"{n_coeff}N"
-    return f"{head}{'+' if const > 0 else '-'}{abs(const)}" if const else head
+    return f"{head}{'+' if const > 0 else '-'}{_int_text(abs(const))}" if const else head
+
+
+def _int_text(value: int) -> str:
+    # str(value), also past the digits str() writes (4300 unless changed,
+    # and never under 640): a weight or threshold multiplies numbers read
+    # at that limit
+    try:
+        return f"{value}"
+    except ValueError:
+        high, low = divmod(abs(value), 10**600)
+        return f"{'-' if value < 0 else ''}{_int_text(high)}{low:0600d}"
+
+
+# How a message names what the user gave: a number by _value_text, text by
+# _user_text.  Each keeps the bytes of a short one and bounds a long one.
+_SHOWN_DIGITS = 50
+_SHOWN_CHARS = 100
+
+
+def _user_text(text: str, show=repr) -> str:
+    # show(text) up to _SHOWN_CHARS characters, else its first 20 characters
+    # and its length, as "'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"
+    if len(text) <= _SHOWN_CHARS:
+        return show(text)
+    return f"{show(text[:20])}... ({len(text)} characters)"
 
 
 def _value_text(value: int | Fraction) -> str:
     # how an error message names a rational: str(value) while numerator and
-    # denominator have at most 50 digits each, else its first 6 digits, as
-    # "about 1.00000e+5000"; str() of an int past 4300 digits raises
+    # denominator have at most _SHOWN_DIGITS digits each, else its first 6
+    # digits, as "about 1.00000e+5000"; str() of an int past 4300 digits raises
     num, den = abs(value.numerator), value.denominator
-    if num < 10**50 and den < 10**50:
+    if num < 10**_SHOWN_DIGITS and den < 10**_SHOWN_DIGITS:
         return str(value)
     e = int(math.log10(num) - math.log10(den)) - 5  # within one of the exponent
     while True:

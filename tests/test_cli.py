@@ -4,8 +4,10 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -709,6 +711,28 @@ class TestUsageErrors:
         assert err == (f"error: NRGIT_MAX_CENSUS_N holds a number of more than "
                        f"{self.DIGIT_LIMIT} digits: {shown}\n")
 
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python prints any number of digits")
+    @pytest.mark.parametrize("argv", [
+        ("weights", "--n", "3", "--m", NINES),
+        ("weights", "--n", "3", "--m", NINES, "--r", f"-{NINES}", "--format", "json"),
+        ("classify", "--n", "3", "--m", NINES, "--r", "1", "--profile", "inf=1,roots=2"),
+        ("classify", "--n", NINES, "--m", NINES, "--r", "1", "--profile", f"inf={NINES}",
+         "--format", "json"),
+    ], ids=["weights", "weights-json", "classify", "classify-json"])
+    def test_an_answer_past_the_digit_limit_prints_every_digit(self, capsys, argv):
+        # a weight m(2i - n) + r or a threshold (nm -+ r)/(2m) of inputs read
+        # at the limit has more digits than str() writes: these once exited
+        # 2 naming Python's set_int_max_str_digits
+        got = run(capsys, *argv)
+        sys.set_int_max_str_digits(0)
+        try:
+            want = run(capsys, *argv)
+        finally:
+            sys.set_int_max_str_digits(self.DIGIT_LIMIT)
+        assert got == want
+        assert got[0] == 0
+        assert max(map(len, re.findall(r"[0-9]+", got[1]))) > self.DIGIT_LIMIT
+
 
 class TestHarness:
     def test_unknown_subcommand(self, capsys):
@@ -856,6 +880,108 @@ def test_scan_agrees_with_argparse_on_drawn_lines(data):
     args = cli._scan(argv)
     if args is not None:
         assert vars(args) == parsed(argv)
+
+
+def reference_parser():
+    """build_parser as it was before cli._read: each option's type function
+    and choices handed to argparse, which words every refusal itself."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="nrgit")
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, _, _, options in cli._COMMANDS:
+        p = sub.add_parser(name)
+        for flag, kind, choices, default, _ in options:
+            p.add_argument(flag, type=kind, choices=choices, required=default is cli._REQUIRED)
+    return parser
+
+
+# short values that int() or --format's choices refuse, and ("0", "-5",
+# "100001", "-00...0") that the degree options' own functions refuse
+SHORT_BAD_VALUES = ["x", "1.5", "", " ", "1e3", "0x1f", "1_0x", "٣x", "JSON", "text ",
+                    "'q'", "0", "-5", "100001", "-" + "0" * 49, "x" * 50]
+TYPED_OPTIONS = [(name, option) for name, _, _, options in cli._COMMANDS
+                 for option in options if option[1] or option[2]]
+
+
+@pytest.mark.parametrize("name, option", TYPED_OPTIONS,
+                         ids=[f"{name} {option[0]}" for name, option in TYPED_OPTIONS])
+def test_a_short_refusal_keeps_argparses_own_bytes(capsys, name, option):
+    # argparse's wording on the running Python, not a copy of one version's
+    flag = option[0]
+    options = next(row[3] for row in cli._COMMANDS if row[0] == name)
+    rest = [token for other in options if other[3] is cli._REQUIRED and other[0] != flag
+            for token in (other[0], GOOD_VALUES[other[0]])]
+    compared = 0
+    for value in SHORT_BAD_VALUES:
+        for argv in ([name, *rest, flag, value], [name, *rest, f"{flag}={value}"]):
+            try:
+                reference_parser().parse_args(argv)
+                continue  # a value this option accepts
+            except SystemExit as exc:
+                want = (exc.code, *capsys.readouterr())
+            assert run(capsys, *argv) == want, argv
+            compared += 1
+    assert compared >= len(SHORT_BAD_VALUES)
+
+
+# values for every option: past int()'s digit limit and at it, malformed
+# text thousands of characters long, and valid values far from the usual
+_NINES = TestUsageErrors.NINES
+HOSTILE_VALUES = [
+    "x" * 5000, "1" * 4301, _NINES, f"-{_NINES}", "1e5000", f"1/{_NINES}", "1_" * 2500 + "1",
+    "٣" * 5000, " " * 5000, "1." + "5" * 4400, "0", "-3", "9" * 60, "1e100000000", "x",
+]
+HOSTILE_PROFILES = [
+    "inf=" + "x" * 5000, "zero=" + "x" * 5000, "roots=" + "1+" * 2500 + "1",
+    "bogus" * 1000 + "=1", f"inf={_NINES},zero={_NINES}",
+]
+# each command's line that a hostile value is put into: --r 1 lets a long
+# --m reach classify's thresholds
+HOSTILE_BASES = {
+    "classify": ("--n", "3", "--r", "1", "--profile", "inf=1,roots=2"),
+    "weights": ("--n", "3"), "walls": ("--n", "3"), "flips": ("--n", "6", "--tau", "2"),
+    "census": ("--n", "3"), "diagram": ("--n", "3"),
+}
+
+
+def hostile_corpus():
+    """(argv, NRGIT_MAX_CENSUS_N or None) lines: every command with each of
+    its flags set to each hostile value, as `--flag v` and `--flag=v`, the
+    hostile profiles, and census under each hostile census guard."""
+    lines = []
+    for name, _, _, options in cli._COMMANDS:
+        base = dict(zip(HOSTILE_BASES[name][::2], HOSTILE_BASES[name][1::2]))
+        for flag, *_ in options:
+            values = HOSTILE_VALUES + (HOSTILE_PROFILES if flag == "--profile" else [])
+            for value in values:
+                rest = [token for other, text in base.items() if other != flag
+                        for token in (other, text)]
+                lines.append(([name, *rest, flag, value], None))
+                lines.append(([name, *rest, f"{flag}={value}"], None))
+    lines += [(["census", "--n", "3"], value) for value in HOSTILE_VALUES]
+    return lines
+
+
+def test_every_hostile_line_is_answered_or_refused_in_bounded_words(capsys, monkeypatch, tmp_path):
+    # exit 0, 2 or 3 within a second; a refusal's own words, after
+    # argparse's usage lines, in at most 300 bytes and not naming Python's
+    # digit limit
+    monkeypatch.chdir(tmp_path)  # diagram --out writes its hostile paths here
+    failures = []
+    for argv, guard in hostile_corpus():
+        if guard is None:
+            monkeypatch.delenv("NRGIT_MAX_CENSUS_N", raising=False)
+        else:
+            monkeypatch.setenv("NRGIT_MAX_CENSUS_N", guard)
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        seconds = time.perf_counter() - start
+        words = err[err.rfind("\n", 0, err.find("error: ")) + 1:].encode("utf-8", "backslashreplace")
+        if (code not in (0, 2, 3) or len(words) > 300 or "set_int_max_str_digits" in err
+                or seconds > 1):
+            failures.append((code, len(words), round(seconds, 2), err[:200], [a[:20] for a in argv]))
+    assert failures == []
 
 
 # report trees: every kind of value the emitter may meet, strings with the
