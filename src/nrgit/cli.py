@@ -9,7 +9,8 @@ Reports are deterministic: identical flags yield byte-identical output, all
 numbers are exact rationals printed as p/q, symbolic values as aN+b.  Exit
 codes: 0 success, 2 usage error, 3 census disagreement, 4 internal invariant
 violation.  NRGIT_MAX_CENSUS_N overrides the census size guard; weights, walls,
-flips and diagram, whose output grows with n, refuse n above 100000.
+flips and diagram, whose output grows with n, refuse n above 100000, and
+weights refuses rows too long to print (_WEIGHTS_CEILING).
 
 A refusal names what the user typed by polytope's one rule: a number by
 _value_text, text by _user_text, each whole while short and bounded when
@@ -51,6 +52,11 @@ _DEGREE_CEILING = 100_000  # the largest n of weights, walls, flips and diagram
 # Fraction computes 10**|e| in full, and diagram --N 1e-100000 already takes
 # about 0.25 s on a 2-vCPU host (1.25 s at 1e-300000)
 _EXPONENT_CEILING = 100_000
+# the largest (n + 1) * (bits of m*n + bits of r) of weights, a measure of the
+# digits of its 3(n + 1) rows: the slowest lines it accepts, at n = 100000
+# with 41 bits in m*n and r together, take as long as weights --n 100000
+# (about 2 s of CPU in JSON on a 2-vCPU host)
+_WEIGHTS_CEILING = 2**22
 
 
 def _census_guard() -> int:
@@ -177,21 +183,13 @@ def _json(value, indent: str) -> str:
     import json  # here and in _json_text alone: only --format json needs it
 
     # json's own C string encoder
-    return _json_text(value, indent, {}, json.encoder.encode_basestring_ascii)
+    return _json_text(value, indent, json.encoder.encode_basestring_ascii)
 
 
-def _json_text(value, indent: str, memo: dict, quote) -> str:
-    # memo holds each container's text by (id, indent), so a container the
-    # report holds in several places (cmd_walls's profile dicts) is written
-    # once per indent level; no id is reused during the write, since the
-    # report keeps every container alive until the write returns
+def _json_text(value, indent: str, quote) -> str:
     if isinstance(value, _CONTAINERS):
         if not value:
             return "{}" if isinstance(value, dict) else "[]"
-        key = (id(value), indent)
-        text = memo.get(key)
-        if text is not None:
-            return text
         inner = indent + "  "
         sep = ",\n" + inner
         # str and exact int items inline, with no call each: the bulk of
@@ -200,19 +198,16 @@ def _json_text(value, indent: str, memo: dict, quote) -> str:
             body = sep.join([
                 f"{quote(k)}: "
                 + (quote(v) if type(v) is str else f"{v}" if type(v) is int
-                   else _json_text(v, inner, memo, quote))
+                   else _json_text(v, inner, quote))
                 for k, v in sorted(value.items())
             ])
-            text = f"{{\n{inner}{body}\n{indent}}}"
-        else:
-            body = sep.join([
-                quote(v) if type(v) is str else f"{v}" if type(v) is int
-                else _json_text(v, inner, memo, quote)
-                for v in value
-            ])
-            text = f"[\n{inner}{body}\n{indent}]"
-        memo[key] = text
-        return text
+            return f"{{\n{inner}{body}\n{indent}}}"
+        body = sep.join([
+            quote(v) if type(v) is str else f"{v}" if type(v) is int
+            else _json_text(v, inner, quote)
+            for v in value
+        ])
+        return f"[\n{inner}{body}\n{indent}]"
     if value is None:
         return "null"
     if value is True:
@@ -299,6 +294,12 @@ def cmd_classify(args) -> int:
 
 def cmd_weights(args) -> int:
     _check_positive_degree(args.n)
+    size = (args.n + 1) * ((args.m * args.n).bit_length() + abs(args.r).bit_length())
+    if size > _WEIGHTS_CEILING:
+        raise ValueError(
+            f"weights rows too long to print: --n {_value_text(args.n)} --m {_value_text(args.m)} "
+            f"--r {_value_text(args.r)} gives (n + 1) * (bits of m*n + bits of r) = {size}, "
+            f"past {_WEIGHTS_CEILING}")
     rows = [
         {"point": label, "i": i, "weight": f"({_affine_text(a_x, b_x)}, {_affine_text(a_y, b_y)})"}
         for label, i, (a_x, b_x, a_y, b_y) in _fixed_rows(args.n, args.m, args.r)

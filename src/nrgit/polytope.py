@@ -227,11 +227,17 @@ _SHOWN_CHARS = 100
 
 
 def _user_text(text: str, show=repr) -> str:
-    # show(text) up to _SHOWN_CHARS characters, else its first 20 characters
-    # and its length, as "'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"
-    if len(text) <= _SHOWN_CHARS:
+    # show(text) while text has at most _SHOWN_CHARS characters and its repr
+    # at most two per character and the quotes, as any printable text has;
+    # else show(head) for the longest head of text of at most 20 characters
+    # whose repr is at most 42 long, and the length of text, as
+    # "'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"
+    if len(text) <= _SHOWN_CHARS and len(repr(text)) <= 2 * _SHOWN_CHARS + 2:
         return show(text)
-    return f"{show(text[:20])}... ({len(text)} characters)"
+    head = text[:20]
+    while len(repr(head)) > 42:
+        head = head[:-1]
+    return f"{show(head)}... ({len(text)} characters)"
 
 
 def _value_text(value: int | Fraction) -> str:

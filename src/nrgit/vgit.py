@@ -22,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .binary_forms import _check_positive_degree, _is_wall, central_divisor
-from .polytope import _Record, _fraction
+from .polytope import _Record, _fraction, _value_text
 # not called here; perfbench/spans.py wraps this binding by name to count the
 # profile censuses vgit runs, and every traced run fails without it
 from .binary_forms import _all_profiles  # noqa: F401
@@ -116,7 +116,7 @@ def chamber_profile(n: int, tau) -> QuotientProfile:
     if type(tau) is not int:
         tau = _fraction()(tau)
     if not 0 <= tau <= n:
-        raise ValueError(f"tau={tau} outside [0, {n}]")
+        raise ValueError(f"tau={_value_text(tau)} outside [0, {_value_text(n)}]")
     if n + tau < 2:
         return QuotientProfile(True, QuotientKind.EMPTY, None)
     if tau == 0:

@@ -926,11 +926,14 @@ def test_a_short_refusal_keeps_argparses_own_bytes(capsys, name, option):
 
 
 # values for every option: past int()'s digit limit and at it, malformed
-# text thousands of characters long, and valid values far from the usual
+# text thousands of characters long, short text that repr writes long (a
+# control character in 4 characters, an astral non-printable one in 10), and
+# valid values far from the usual
 _NINES = TestUsageErrors.NINES
 HOSTILE_VALUES = [
     "x" * 5000, "1" * 4301, _NINES, f"-{_NINES}", "1e5000", f"1/{_NINES}", "1_" * 2500 + "1",
     "٣" * 5000, " " * 5000, "1." + "5" * 4400, "0", "-3", "9" * 60, "1e100000000", "x",
+    "\x01" * 100, "\U000e0001" * 100,
 ]
 HOSTILE_PROFILES = [
     "inf=" + "x" * 5000, "zero=" + "x" * 5000, "roots=" + "1+" * 2500 + "1",
@@ -948,7 +951,9 @@ HOSTILE_BASES = {
 def hostile_corpus():
     """(argv, NRGIT_MAX_CENSUS_N or None) lines: every command with each of
     its flags set to each hostile value, as `--flag v` and `--flag=v`, the
-    hostile profiles, and census under each hostile census guard."""
+    hostile profiles, census under each hostile census guard, and weights at
+    the degree ceiling with a 4300-digit --m or --r, whose rows would be too
+    long to print."""
     lines = []
     for name, _, _, options in cli._COMMANDS:
         base = dict(zip(HOSTILE_BASES[name][::2], HOSTILE_BASES[name][1::2]))
@@ -960,6 +965,9 @@ def hostile_corpus():
                 lines.append(([name, *rest, flag, value], None))
                 lines.append(([name, *rest, f"{flag}={value}"], None))
     lines += [(["census", "--n", "3"], value) for value in HOSTILE_VALUES]
+    for flag in ("--m", "--r"):
+        lines.append((["weights", "--n", "100000", flag, _NINES], None))
+        lines.append((["weights", "--n", "100000", f"{flag}={_NINES}"], None))
     return lines
 
 
@@ -1033,36 +1041,16 @@ def test_a_scalar_is_written_as_json_dumps_writes_it(leaf):
 
 def test_a_container_held_twice_is_written_as_json_dumps_writes_it():
     # one dict object twice at one depth and once at another, as cmd_walls
-    # shares its profile dicts between segments
+    # shares its profile dicts between segments; then 50 segments sharing
+    # one dict at three depths, beside empty containers
     shared = {"kind": "Chamber", "dimension": 2, "note": None, "roots": [1, 2]}
     tree = {"walls": [{"profile": shared}, {"profile": shared}], "top": shared}
     assert cli._json(tree, "") == json.dumps(tree, indent=2, sort_keys=True)
-
-
-def _containers(value):
-    if isinstance(value, (dict, list, tuple)):
-        yield value
-        for item in value.values() if isinstance(value, dict) else value:
-            yield from _containers(item)
-
-
-def test_the_json_memo_keys_each_live_container_by_its_id():
-    # the memo is sound because the report keeps each container alive for
-    # the whole write: each memo key is the id of a container of the report,
-    # and its text is json.dumps of that container, at that indent
     shared = {"a": [1, "x"], "b": {"c": None}}
     tree = {"segments": [{"kind": f"k{i}", "interval": [str(i), str(i + 1)], "profile": shared}
                          for i in range(50)],
             "again": [shared, [[shared]]], "empty": [{}, []]}
-    memo = {}
-    text = cli._json_text(tree, "", memo, json.encoder.encode_basestring_ascii)
-    assert text == json.dumps(tree, indent=2, sort_keys=True)
-    live = {id(c): c for c in _containers(tree)}
-    for (key, indent), written in memo.items():
-        want = json.dumps(live[key], indent=2, sort_keys=True).replace("\n", "\n" + indent)
-        assert written == want
-    # shared sits at three depths: written once at each
-    assert sum(key == id(shared) for key, _ in memo) == 3
+    assert cli._json(tree, "") == json.dumps(tree, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("argv", [

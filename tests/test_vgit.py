@@ -130,6 +130,9 @@ class TestChamberProfile:
             chamber_profile(4, Fraction(-1))
         with pytest.raises(ValueError):
             chamber_profile(4, Fraction(5))
+        # named by its first digits, not by Python's limit on int to str
+        with pytest.raises(ValueError, match=r"^tau=about 1\.00000e\+5000 outside \[0, 3\]$"):
+            chamber_profile(3, 10**5000)
 
     def test_geometric_implies_ss_equals_s(self):
         for n in range(1, 9):
