@@ -46,7 +46,11 @@ class Divisor(_Record):
         return tuple(out)
 
     def max_mult(self) -> int:
-        return max(self.all_mults())
+        """The largest root multiplicity, max(all_mults()), read off the
+        fields without building all_mults(): a validated Divisor has degree
+        n >= 1 and masses >= 0 that sum to n, so some mass is positive, and
+        the zero masses that all_mults() leaves out never raise the max."""
+        return max(self.mult_inf, self.mult_zero, *self.generic)
 
     def __str__(self):
         roots = "+".join(str(g) for g in self.generic)

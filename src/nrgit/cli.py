@@ -535,7 +535,17 @@ def _read(kind, choices, text: str):
 
 def build_parser() -> argparse.ArgumentParser:
     """The nrgit parser: every subcommand of _COMMANDS."""
-    parser = _argparse().ArgumentParser(
+    argparse = _argparse()
+
+    class Store(argparse.Action):
+        # argparse reads `--flag=--` as the value [] (it drops the "--" and
+        # calls no type); refuse it in the words it refuses `--flag --` with
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
+    parser = argparse.ArgumentParser(
         prog="nrgit",
         description="Exact stability computations for n points on the "
         "projective line under the Borel subgroup of SL(2).",
@@ -546,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kind, choices, default, flag_help in options:
             required = default is _REQUIRED
             # choices= only for the help's {text,json}: _read checks them
-            p.add_argument(flag, type=partial(_read, kind, choices), choices=choices,
+            p.add_argument(flag, action=Store, type=partial(_read, kind, choices), choices=choices,
                            required=required, default=None if required else default, help=flag_help)
         p.set_defaults(func=handler)
     return parser

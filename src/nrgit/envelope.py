@@ -210,8 +210,11 @@ def _engine_table(n: int, m: int, r: int) -> tuple[int, dict]:
     for key in _polytope_classes(n):
         v_support, mult_inf, mult_zero = key
         hi = n - mult_zero
-        ends = (mult_inf,) if mult_inf == hi else (mult_inf, hi)
-        pts = [grid[s + i] for s in starts[v_support] for i in ends]
+        pts = []
+        for s in starts[v_support]:
+            pts.append(grid[s + mult_inf])
+            if mult_inf != hi:
+                pts.append(grid[s + hi])
         table[key] = _LOCATION_TO_STATUS[_locate_sorted(pts)]
     return b, table
 

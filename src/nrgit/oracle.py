@@ -34,19 +34,24 @@ vanishing of (v1, v2) and move roots without changing their masses.
 moves_for builds EnvPoints from the same enumeration, each move's generic
 roots being the point's root masses less the two slot masses and its
 marked root the one its v-support forces or, at a generic [v1:v2], the
-point's own (0 under UnipotentEnvelope).  One function, _class_worst,
-scores a class, by envelope._unipotent_case for UnipotentEnvelope and
-envelope._torus_case at the linearisation otherwise, and takes the worst;
-worst_case_status and diff_report call it.  Within one diff_report a
-status table scores each distinct (scorer, v_support, mult_inf,
-mult_zero) once and each class once.  A scan stops at its first Unstable
-placement, and _placements yields every class's placements on demand, so
-such a scan builds none past it.
+point's own (0 under UnipotentEnvelope).  A placement of any key the
+census builds, or of any point of enumerate_env_points, carries one of
+the seven envelope._V_SUPPORTS objects, whose hashes are cached.  One
+function, _class_worst, scores a class, by envelope._unipotent_case for
+UnipotentEnvelope and envelope._torus_case at the linearisation
+otherwise, and takes the worst; worst_case_status and diff_report call
+it.  Within one diff_report a status table holds
+each distinct (scorer, v_support, mult_inf, mult_zero) status and each
+class's worst case: a caller probes the table for the class first, and
+_class_worst scores only a class not yet scored, each placement once.  A
+scan stops at its first Unstable placement, and _placements yields every
+class's placements on demand, so such a scan builds none past it.
 
 diff_report checks each profile once and each completion-point check once
 per distinct input, in one walk over the census.  Per profile: the sorted
 root masses and the Borel, unipotent and SL(2) checks, each scored from a
-class key built without any point.  The point checks run on key sets,
+class key built without any point; their rows are built only for a
+profile where some check disagrees.  The point checks run on key sets,
 built from the profiles' sorted masses without visiting a point
 (_check_keys): the group check once per (v_support, masses, marked), the
 unipotent check once per (v_support, masses, classify_unipotent status),
@@ -181,6 +186,15 @@ def _point_key(kind: GroupKind, p: EnvPoint) -> tuple:
     return (kind, 0 in sup, 1 in sup or 2 in sup, tuple(sorted(d.all_mults())), marked)
 
 
+# the v-supports _placements yields, by v0: the base ({0}, or nothing
+# without v0), then the base with 1, with 2 and with both, each one of the
+# seven _V_SUPPORTS objects but the empty base, which no point's key reaches
+_PLACED_SUPPORTS = (
+    (frozenset(), _V_SUPPORTS[1], _V_SUPPORTS[2], _V_SUPPORTS[5]),
+    (_V_SUPPORTS[0], _V_SUPPORTS[3], _V_SUPPORTS[4], _V_SUPPORTS[6]),
+)
+
+
 def _placements(key: tuple):
     """Every placement the group key[0] reaches from a point of class key,
     as raw (v_support, mult_inf, mult_zero) polytope classes.
@@ -188,7 +202,11 @@ def _placements(key: tuple):
     The one enumeration of the move rules: moves_for builds its EnvPoints
     from these triples and _class_worst scores them without building any.
     They are yielded on demand, so a scan that stops early builds no more
-    of them.
+    of them.  The v_supports are envelope._V_SUPPORTS objects, read off
+    _PLACED_SUPPORTS once per key (TorusOnly's is the point's own, one of
+    them on every point of enumerate_env_points), so no placement builds a
+    frozenset and a status table hashes only frozensets whose hashes are
+    cached.
 
     Borel's empty slot, the placement with nothing at [0:1], never decides
     its class's status.  Every Borel placement has v-support {0, 1}, where
@@ -206,22 +224,22 @@ def _placements(key: tuple):
         yield from ((_EMBEDDED_SUPPORT, a, q) for q in other_slot)
         return
     kind, v0, v12, masses, marked = key
-    base = frozenset({0} if v0 else ())
+    base, with1, with2, with12 = _PLACED_SUPPORTS[v0]
     if not v12:
         # (v1, v2) = (0, 0) is preserved by both groups; only slot placements vary
         yield from ((base, a, b) for a, b in _slot_pairs(masses))
     elif kind is GroupKind.UNIPOTENT_ENVELOPE:
-        for case in (base | {1}, base | {2}, base | {1, 2}):
+        for case in (with1, with2, with12):
             yield from ((case, a, b) for a, b in _slot_pairs(masses))
     else:
         others = _remove_one(masses, marked)
         other_slot = sorted({0, *others})
         # marked point sent to [1:0]
-        yield from ((base | {1}, marked, q) for q in other_slot)
+        yield from ((with1, marked, q) for q in other_slot)
         # marked point sent to [0:1]
-        yield from ((base | {2}, q, marked) for q in other_slot)
+        yield from ((with2, q, marked) for q in other_slot)
         # marked point kept generic: slots take non-marked roots
-        yield from ((base | {1, 2}, a, b) for a, b in _slot_pairs(others))
+        yield from ((with12, a, b) for a, b in _slot_pairs(others))
 
 
 def moves_for(kind: GroupKind, p: EnvPoint) -> GroupMoveSet:
@@ -250,13 +268,12 @@ def _class_worst(key: tuple, n: int, lin: LinParam | None, seen: dict) -> Status
     ({} scores a single class).  It keys each placement's status by the
     flag naming the scorer, unipotent, and the placement's polytope class
     (v_support, mult_inf, mult_zero), and each class's worst case by its
-    key, which leads with its GroupKind.  The scan stops at the first
-    Unstable placement: nothing is worse, and neither scorer raises, so the
-    placements it skips change nothing, and none of them is built.
+    key, which leads with its GroupKind.  Callers probe seen for key
+    first, so a scored class costs one dict probe; this scores only a key
+    not yet scored, and stores its status there.  The scan stops at the
+    first Unstable placement: nothing is worse, and neither scorer raises,
+    so the placements it skips change nothing, and none of them is built.
     """
-    got = seen.get(key)
-    if got is not None:
-        return got
     unipotent = key[0] is GroupKind.UNIPOTENT_ENVELOPE
     if unipotent:
         score, args = _unipotent_case, (n,)
@@ -368,7 +385,7 @@ def _profile_pass(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, list]:
     """
     census = enumerate_profiles(n, max_n)
     m, r = lin.m, lin.r
-    borel, unip, full = GroupKind.BOREL, GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP
+    borel, unip = GroupKind.BOREL, GroupKind.UNIPOTENT_ENVELOPE
     # placement classes scored so far, for this report's linearisation only
     seen: dict = {}
     # polytope engine status per polytope class
@@ -388,32 +405,30 @@ def _profile_pass(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, list]:
         # Borel's class key of the embedded point, built as _point_key builds
         # it; the unipotent and SL(2) checks' at v = [1:1:0] and, for the
         # SL(2) weights 2i - n over all slot placements, at v = [1:0:0]
-        _record(rows, d, (
-            ("borel closed form vs Borel placements",
-             _class_worst((borel, a, tuple(sorted({0, d.mult_zero, *d.generic}))), n, lin, seen),
-             intrinsic),
-            ("unipotent closed form vs SL(2) placements",
-             _class_worst((unip, True, True, masses, None), n, None, seen), classify_unipotent(d)),
-            ("sl2 closed form vs slot placements",
-             _class_worst((unip, True, False, masses, None), n, None, seen), classify_sl2(d)),
-        ))
+        key = (borel, a, tuple(sorted({0, d.mult_zero, *d.generic})))
+        borel_worst = seen.get(key)
+        if borel_worst is None:
+            borel_worst = _class_worst(key, n, lin, seen)
+        key = (unip, True, True, masses, None)
+        unip_worst = seen.get(key)
+        if unip_worst is None:
+            unip_worst = _class_worst(key, n, None, seen)
+        key = (unip, True, False, masses, None)
+        sl2_worst = seen.get(key)
+        if sl2_worst is None:
+            sl2_worst = _class_worst(key, n, None, seen)
+        unip_closed, sl2_closed = classify_unipotent(d), classify_sl2(d)
+        if borel_worst != intrinsic or unip_worst != unip_closed or sl2_worst != sl2_closed:
+            _record(rows, d, (
+                ("borel closed form vs Borel placements", borel_worst, intrinsic),
+                ("unipotent closed form vs SL(2) placements", unip_worst, unip_closed),
+                ("sl2 closed form vs slot placements", sl2_worst, sl2_closed),
+            ))
         # the embedded point's group closed form: its marked root is mult_inf
         statuses.append((d, intrinsic, _group_case(_EMBEDDED_SUPPORT, a, masses[-1], n, m, r)))
         pairs[masses, _point_unipotent(d)] = None
         checked += 5 + 2 * len({0, *d.generic})
-    group_keys, unipotent_keys = _check_keys(shared, pairs)
-    agree = all(
-        _class_worst((full, 0 in sup, 1 in sup or 2 in sup, masses, marked), n, lin, seen)
-        == _group_case(sup, marked, masses[-1], n, m, r)
-        for sup, masses, marked in group_keys
-    ) and all(
-        _class_worst((unip, 0 in sup, 1 in sup or 2 in sup, masses, None), n, None, seen)
-        == _unipotent_worst(sup, u)
-        for sup, masses, u in unipotent_keys
-    ) and all(
-        status == _torus_case_list(*key, n, m, r) for key, status in engine.items()
-    )
-    if not agree:
+    if not _keys_agree(*_check_keys(shared, pairs), engine, n, lin, seen):
         point_rows = _point_rows(census, n, lin, seen, engine)[0]
         if not point_rows:
             # every key is some point's: the keys and the points have parted
@@ -435,6 +450,29 @@ def _check_keys(masses, pairs) -> tuple[Iterator, Iterator]:
     return group, unipotent
 
 
+def _keys_agree(group_keys, unipotent_keys, engine: dict, n: int, lin: LinParam, seen: dict) -> bool:
+    # whether every completion-point check holds at every key of its key
+    # set (_profile_pass's docstring), in that order, up to the first that
+    # fails
+    m, r = lin.m, lin.r
+    unip, full = GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP
+    for sup, masses, marked in group_keys:
+        key = (full, 0 in sup, 1 in sup or 2 in sup, masses, marked)
+        worst = seen.get(key)
+        if worst is None:
+            worst = _class_worst(key, n, lin, seen)
+        if worst != _group_case(sup, marked, masses[-1], n, m, r):
+            return False
+    for sup, masses, u in unipotent_keys:
+        key = (unip, 0 in sup, 1 in sup or 2 in sup, masses, None)
+        worst = seen.get(key)
+        if worst is None:
+            worst = _class_worst(key, n, None, seen)
+        if worst != _unipotent_worst(sup, u):
+            return False
+    return all(status == _torus_case_list(*key, n, m, r) for key, status in engine.items())
+
+
 def _point_rows(census, n: int, lin: LinParam, seen: dict, engine: dict) -> tuple[list, int]:
     # the point loop: the rows of the three completion-point checks, point by
     # point in enumeration order (envelope._support_choices), and the number
@@ -451,13 +489,19 @@ def _point_rows(census, n: int, lin: LinParam, seen: dict, engine: dict) -> tupl
         profile_unip = _point_unipotent(d)
         for sup, choices in _support_choices(d):
             v0, v12 = 0 in sup, 1 in sup or 2 in sup
-            unip_worst = _class_worst((unip, v0, v12, masses, None), n, None, seen)
+            key = (unip, v0, v12, masses, None)
+            unip_worst = seen.get(key)
+            if unip_worst is None:
+                unip_worst = _class_worst(key, n, None, seen)
             unip_closed = _unipotent_worst(sup, profile_unip)
             engine_status = engine[sup, a, b]
             torus = _torus_case_list(sup, a, b, n, m, r)
             for marked in choices:
                 points += 1
-                group_worst = _class_worst((full, v0, v12, masses, marked), n, lin, seen)
+                key = (full, v0, v12, masses, marked)
+                group_worst = seen.get(key)
+                if group_worst is None:
+                    group_worst = _class_worst(key, n, lin, seen)
                 group = _group_case(sup, marked, top, n, m, r)
                 if group_worst != group or unip_worst != unip_closed or engine_status != torus:
                     # the one EnvPoint built for a point: an emitted row's subject

@@ -303,6 +303,10 @@ class OriginLocation(Enum):
     BOUNDARY = "Boundary"
     INTERIOR = "Interior"
 
+    # members are singletons, so they hash by identity: Enum's own __hash__
+    # is a Python call, and the engine table looks every class's location up
+    __hash__ = object.__hash__
+
 
 def _dot(p: tuple, q: tuple) -> tuple:
     # (c2, c1, c0) of the dot product of two rows, c2*N^2 + c1*N + c0
@@ -386,9 +390,10 @@ def _locate(rows: list[tuple]) -> OriginLocation:
     return _locate_points(rows, _certified_n(rows))
 
 
-def _chain(points: list[tuple]) -> list[tuple]:
-    # half of Andrew's monotone chain over distinct sorted points: each point
-    # pops the last vertex while the two do not make a strict left turn
+def _chain(points: Iterable[tuple]) -> list[tuple]:
+    # half of Andrew's monotone chain over distinct points in sorted order
+    # or its reverse: each point pops the last vertex while the two do not
+    # make a strict left turn
     out = []
     for p in points:
         px, py = p
@@ -413,7 +418,13 @@ def _locate_sorted(pts: list[tuple]) -> OriginLocation:
     # distinct points; collinear points are dropped, so three or more hull
     # vertices form a strictly convex ccw polygon
     if len(pts) > 2:
-        pts = _chain(pts)[:-1] + _chain(pts[::-1])[:-1]
+        # the lower chain, then the upper one read back from the last point;
+        # each drops its last vertex, the other chain's first
+        hull = _chain(pts)
+        hull.pop()
+        hull += _chain(reversed(pts))
+        hull.pop()
+        pts = hull
     if len(pts) == 1:
         return OriginLocation.BOUNDARY if pts[0] == (0, 0) else OriginLocation.OUTSIDE
     if len(pts) == 2:

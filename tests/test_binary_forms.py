@@ -75,6 +75,16 @@ class TestDivisorValidation:
     def test_generic_anonymized_sorted(self):
         assert Divisor(6, 0, 0, (1, 3, 2)) == Divisor(6, 0, 0, (3, 2, 1))
 
+    def test_max_mult_is_the_largest_root_multiplicity(self):
+        # max_mult reads the fields, zero slot masses among them; that is
+        # max(all_mults()), which holds only the positive masses
+        zero_slots = 0
+        for n in range(1, 13):
+            for d in binary_forms._all_profiles(n):
+                assert d.max_mult() == max(d.all_mults()), d
+                zero_slots += d.mult_inf == 0 or d.mult_zero == 0
+        assert zero_slots
+
     @pytest.mark.parametrize("m", [0, -2])
     def test_lin_param_needs_a_positive_m(self, m):
         with pytest.raises(ValueError, match=f"^m must be a positive integer, got {m}$"):

@@ -933,7 +933,7 @@ _NINES = TestUsageErrors.NINES
 HOSTILE_VALUES = [
     "x" * 5000, "1" * 4301, _NINES, f"-{_NINES}", "1e5000", f"1/{_NINES}", "1_" * 2500 + "1",
     "٣" * 5000, " " * 5000, "1." + "5" * 4400, "0", "-3", "9" * 60, "1e100000000", "x",
-    "\x01" * 100, "\U000e0001" * 100,
+    "\x01" * 100, "\U000e0001" * 100, "--",
 ]
 HOSTILE_PROFILES = [
     "inf=" + "x" * 5000, "zero=" + "x" * 5000, "roots=" + "1+" * 2500 + "1",
@@ -990,6 +990,25 @@ def test_every_hostile_line_is_answered_or_refused_in_bounded_words(capsys, monk
                 or seconds > 1):
             failures.append((code, len(words), round(seconds, 2), err[:200], [a[:20] for a in argv]))
     assert failures == []
+
+
+def test_a_flag_given_the_double_dash_is_refused_in_both_forms(capsys):
+    # argparse reads `--flag=--` as the value [] and calls no type: every
+    # flag of every command refuses it as it refuses `--flag --`
+    lines = 0
+    for name, _, _, options in cli._COMMANDS:
+        base = dict(zip(HOSTILE_BASES[name][::2], HOSTILE_BASES[name][1::2]))
+        for flag, *_ in options:
+            rest = [token for other, text in base.items() if other != flag
+                    for token in (other, text)]
+            joined = run(capsys, name, *rest, f"{flag}=--")
+            apart = run(capsys, name, *rest, flag, "--")
+            assert joined == apart, (name, flag)
+            code, out, err = joined
+            assert code == 2 and out == "", (name, flag)
+            assert err.endswith(f"{name}: error: argument {flag}: expected one argument\n")
+            lines += 1
+    assert lines == 24
 
 
 # report trees: every kind of value the emitter may meet, strings with the

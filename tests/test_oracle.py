@@ -830,3 +830,55 @@ class TestPlacementTable:
             } | {_point_key(GroupKind.BOREL, embed_divisor(d)) for d in enumerate_profiles(n)}
             classes = {key for key in table if isinstance(key[0], GroupKind)}
             assert classes == want, n
+
+    def test_each_class_is_scored_by_one_call(self, monkeypatch):
+        # every caller probes the status table before it calls the scorer,
+        # so a census calls _class_worst once per class key: 190 calls for
+        # these 56 keys when the scorer did the probing
+        import nrgit.oracle as oracle
+
+        keys = Counter()
+        real = oracle._class_worst
+
+        def counted(key, n, lin, seen):
+            keys[key] += 1
+            return real(key, n, lin, seen)
+
+        monkeypatch.setattr(oracle, "_class_worst", counted)
+        diffs, envelope = oracle._census(4, LinParam(1, 2), 12)
+        assert diffs.ok and envelope.ok
+        assert sum(keys.values()) == len(keys) == 56
+
+    def test_placements_carry_the_seven_v_support_objects(self):
+        # no placement builds a frozenset: each v-support is one of
+        # envelope._V_SUPPORTS, over every key a census scores and every
+        # class key of a completion point
+        from nrgit.envelope import _V_SUPPORTS
+        from nrgit.oracle import _check_keys, _placements, _point_key
+
+        unip, full = GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP
+
+        def foreign(keys):
+            return [(key, sup) for key in keys for sup, _, _ in _placements(key)
+                    if not any(sup is known for known in _V_SUPPORTS)]
+
+        for n in range(1, 9):
+            census = enumerate_profiles(n, n)
+            masses = dict.fromkeys(tuple(sorted(d.all_mults())) for d in census)
+            pairs = dict.fromkeys((tuple(sorted(d.all_mults())), classify_unipotent(d)) for d in census)
+            group, unipotent = _check_keys(masses, pairs)
+            keys = [(full, 0 in sup, 1 in sup or 2 in sup, ms, marked) for sup, ms, marked in group]
+            keys += [(unip, 0 in sup, 1 in sup or 2 in sup, ms, None) for sup, ms, _ in unipotent]
+            keys += [key for ms in masses for key in ((unip, True, True, ms, None),
+                                                      (unip, True, False, ms, None))]
+            keys += [_point_key(GroupKind.BOREL, embed_divisor(d)) for d in census]
+            assert foreign(keys) == [], n
+        for n in range(1, 6):
+            keys = []
+            for p in enumerate_env_points(n):
+                for kind in GroupKind:
+                    try:
+                        keys.append(_point_key(kind, p))
+                    except ValueError:
+                        assert kind is GroupKind.BOREL
+            assert foreign(keys) == [], n
