@@ -305,9 +305,9 @@ def unipotent_case_status(p: EnvPoint, n: int) -> Status:
 
 def _unipotent_case(v_support, mult_inf: int, mult_zero: int, n: int) -> Status:
     # like _torus_case: the v-support and the two slot masses decide
-    alphas = sorted(_E[j][0] for j in v_support)
-    lo = _eventual_sign(0, alphas[0], 2 * mult_inf - n)
-    hi = _eventual_sign(0, alphas[-1], n - 2 * mult_zero)
+    least, greatest = _T1_RANGE[v_support]
+    lo = _eventual_sign(0, least, 2 * mult_inf - n)
+    hi = _eventual_sign(0, greatest, n - 2 * mult_zero)
     return _status(lo < 0 < hi, lo <= 0 <= hi)
 
 
@@ -329,6 +329,9 @@ def _unipotent_worst(v_support, unip: Status) -> Status:
 
 _V_SUPPORTS = tuple(map(frozenset, ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2})))
 _EMBEDDED_SUPPORT = _V_SUPPORTS[3]  # {0, 1}: v = [1:1:0]
+# the least and greatest T1 weight e_x of _E over each v-support, as
+# _unipotent_case reads them
+_T1_RANGE = {sup: (min(_E[j][0] for j in sup), max(_E[j][0] for j in sup)) for sup in _V_SUPPORTS}
 
 
 def _polytope_classes(n: int) -> list[tuple]:
@@ -396,6 +399,9 @@ def _envelope_report(n: int, lin: LinParam, statuses) -> EnvelopeReport:
     for d, intrinsic, enveloped in statuses:
         counts_i[2 - intrinsic] += 1
         counts_e[2 - enveloped] += 1
+        if intrinsic is enveloped:
+            # equal statuses fail none of the four tests below
+            continue
         if intrinsic.stable != enveloped.stable:
             stable_equal = False
             violations.append(f"stable mismatch at {d}: {intrinsic} vs {enveloped}")

@@ -22,30 +22,33 @@ Placement rules per group:
 
 A placement is its polytope class, a raw (v_support, mult_inf, mult_zero)
 triple: all that envelope._torus_case and _unipotent_case read.
-_placements enumerates them from a class key alone, and _point_key is the
-one route from a point to its key: the group kind, then all that the
-group's placements read of the point, so the key is exact and names its
-group.  TorusOnly's key is the point's own placement; Borel's, on an
-embedded point, is the mass at [1:0] and the sorted masses, 0 among them,
-that can be brought to [0:1]; an envelope group's is whether v0 is
-nonzero, whether (v1, v2) is, the sorted root masses and, for
+_placement_blocks enumerates them from a class key alone, as at most three
+blocks (v_support, list of (mult_inf, mult_zero) slot pairs), and
+_point_key is the one route from a point to its key: the group kind, then
+all that the group's placements read of the point, so the key is exact
+and names its group.  TorusOnly's key is the point's own placement;
+Borel's, on an embedded point, is the mass at [1:0] and the sorted masses,
+0 among them, that can be brought to [0:1]; an envelope group's is whether
+v0 is nonzero, whether (v1, v2) is, the sorted root masses and, for
 FullEnvelopeGroup, the marked root.  Both envelope groups keep v0 and the
 vanishing of (v1, v2) and move roots without changing their masses.
-moves_for builds EnvPoints from the same enumeration, each move's generic
-roots being the point's root masses less the two slot masses and its
-marked root the one its v-support forces or, at a generic [v1:v2], the
-point's own (0 under UnipotentEnvelope).  A placement of any key the
-census builds, or of any point of enumerate_env_points, carries one of
-the seven envelope._V_SUPPORTS objects, whose hashes are cached.  One
-function, _class_worst, scores a class, by envelope._unipotent_case for
-UnipotentEnvelope and envelope._torus_case at the linearisation
-otherwise, and takes the worst; worst_case_status and diff_report call
-it.  Within one diff_report a status table holds
-each distinct (scorer, v_support, mult_inf, mult_zero) status and each
-class's worst case: a caller probes the table for the class first, and
-_class_worst scores only a class not yet scored, each placement once.  A
-scan stops at its first Unstable placement, and _placements yields every
-class's placements on demand, so such a scan builds none past it.
+moves_for builds EnvPoints from the same enumeration, flattened by
+_placements, each move's generic roots being the point's root masses less
+the two slot masses and its marked root the one its v-support forces or,
+at a generic [v1:v2], the point's own (0 under UnipotentEnvelope).  A
+placement of any key the census builds, or of any point of
+enumerate_env_points, carries one of the seven envelope._V_SUPPORTS
+objects, whose hashes are cached.  One function, _class_worst, scores a
+class, by envelope._unipotent_case for UnipotentEnvelope and
+envelope._torus_case at the linearisation otherwise, and takes the worst;
+worst_case_status and diff_report call it.  Within one diff_report a
+status table holds each distinct (scorer, v_support, mult_inf, mult_zero)
+status and each class's worst case: a caller probes the table for the
+class first, and _class_worst scores only a class not yet scored, each
+placement once.  It walks the class's blocks with two plain loops and
+stops at its first Unstable placement; a block's slot pairs are built, as
+one list, only when the scan reaches the block, so such a scan builds no
+block past it.
 
 diff_report checks each profile once and each completion-point check once
 per distinct input, in one walk over the census.  Per profile: the sorted
@@ -161,11 +164,13 @@ def _remove_one(masses: list[int], value: int) -> list[int]:
     return out
 
 
-def _slot_pairs(masses: list[int]):
-    """All (a, b): distinct roots (or nothing) at the two slots."""
-    for a in sorted({0, *masses}):
-        for b in sorted({0, *_remove_one(masses, a)}):
-            yield a, b
+def _slot_pairs(masses) -> list[tuple[int, int]]:
+    """All (a, b): distinct roots (or nothing) at the two slots, as a list
+    in a-major order over the sorted distinct masses, 0 among them.  a and b
+    are the masses of two distinct roots, so a == b only where a is 0 (no
+    root) or a mass that occurs at least twice in masses."""
+    values = sorted({0, *masses})
+    return [(a, b) for a in values for b in values if b != a or not a or masses.count(a) > 1]
 
 
 def _point_key(kind: GroupKind, p: EnvPoint) -> tuple:
@@ -193,20 +198,25 @@ _PLACED_SUPPORTS = (
     (frozenset(), _V_SUPPORTS[1], _V_SUPPORTS[2], _V_SUPPORTS[5]),
     (_V_SUPPORTS[0], _V_SUPPORTS[3], _V_SUPPORTS[4], _V_SUPPORTS[6]),
 )
+# what an envelope group's class key reads of a v-support, per
+# _V_SUPPORTS object: (v0, v12), whether it holds 0 and whether it meets {1, 2}
+_SUPPORT_FLAGS = {sup: (0 in sup, 1 in sup or 2 in sup) for sup in _V_SUPPORTS}
 
 
-def _placements(key: tuple):
+def _placement_blocks(key: tuple):
     """Every placement the group key[0] reaches from a point of class key,
-    as raw (v_support, mult_inf, mult_zero) polytope classes.
+    as at most three blocks (v_support, [(mult_inf, mult_zero), ...]): the
+    raw polytope classes (v_support, mult_inf, mult_zero) of a block share
+    its v-support.
 
-    The one enumeration of the move rules: moves_for builds its EnvPoints
-    from these triples and _class_worst scores them without building any.
-    They are yielded on demand, so a scan that stops early builds no more
-    of them.  The v_supports are envelope._V_SUPPORTS objects, read off
-    _PLACED_SUPPORTS once per key (TorusOnly's is the point's own, one of
-    them on every point of enumerate_env_points), so no placement builds a
-    frozenset and a status table hashes only frozensets whose hashes are
-    cached.
+    The one enumeration of the move rules: _class_worst scans its blocks,
+    and _placements flattens them for moves_for.  A block's pair list is
+    built when the scan reaches the block, so a FullEnvelopeGroup scan that
+    stops in its first block builds no generic pair.  The v_supports are
+    envelope._V_SUPPORTS objects, read off _PLACED_SUPPORTS once per key
+    (TorusOnly's is the point's own, one of them on every point of
+    enumerate_env_points), so no placement builds a frozenset and a status
+    table hashes only frozensets whose hashes are cached.
 
     Borel's empty slot, the placement with nothing at [0:1], never decides
     its class's status.  Every Borel placement has v-support {0, 1}, where
@@ -217,29 +227,37 @@ def _placements(key: tuple):
     without it has the same worst status.
     """
     if key[0] is GroupKind.TORUS_ONLY:
-        yield key[1:]
+        _, sup, a, b = key
+        yield sup, [(a, b)]
         return
     if key[0] is GroupKind.BOREL:
         _, a, other_slot = key
-        yield from ((_EMBEDDED_SUPPORT, a, q) for q in other_slot)
+        yield _EMBEDDED_SUPPORT, [(a, q) for q in other_slot]
         return
     kind, v0, v12, masses, marked = key
     base, with1, with2, with12 = _PLACED_SUPPORTS[v0]
     if not v12:
         # (v1, v2) = (0, 0) is preserved by both groups; only slot placements vary
-        yield from ((base, a, b) for a, b in _slot_pairs(masses))
+        yield base, _slot_pairs(masses)
     elif kind is GroupKind.UNIPOTENT_ENVELOPE:
+        pairs = _slot_pairs(masses)
         for case in (with1, with2, with12):
-            yield from ((case, a, b) for a, b in _slot_pairs(masses))
+            yield case, pairs
     else:
         others = _remove_one(masses, marked)
         other_slot = sorted({0, *others})
         # marked point sent to [1:0]
-        yield from ((with1, marked, q) for q in other_slot)
+        yield with1, [(marked, q) for q in other_slot]
         # marked point sent to [0:1]
-        yield from ((with2, q, marked) for q in other_slot)
+        yield with2, [(q, marked) for q in other_slot]
         # marked point kept generic: slots take non-marked roots
-        yield from ((with12, a, b) for a, b in _slot_pairs(others))
+        yield with12, _slot_pairs(others)
+
+
+def _placements(key: tuple):
+    """_placement_blocks(key) flattened to (v_support, mult_inf, mult_zero)
+    triples, block by block."""
+    return ((sup, a, b) for sup, pairs in _placement_blocks(key) for a, b in pairs)
 
 
 def moves_for(kind: GroupKind, p: EnvPoint) -> GroupMoveSet:
@@ -270,9 +288,11 @@ def _class_worst(key: tuple, n: int, lin: LinParam | None, seen: dict) -> Status
     (v_support, mult_inf, mult_zero), and each class's worst case by its
     key, which leads with its GroupKind.  Callers probe seen for key
     first, so a scored class costs one dict probe; this scores only a key
-    not yet scored, and stores its status there.  The scan stops at the
-    first Unstable placement: nothing is worse, and neither scorer raises,
-    so the placements it skips change nothing, and none of them is built.
+    not yet scored, and stores its status there.  The scan walks the key's
+    _placement_blocks, each block's slot pairs in one inner loop, and stops
+    at the first Unstable placement: nothing is worse, and neither scorer
+    raises, so the placements it skips change nothing, and a block it does
+    not reach is never built.
     """
     unipotent = key[0] is GroupKind.UNIPOTENT_ENVELOPE
     if unipotent:
@@ -282,15 +302,18 @@ def _class_worst(key: tuple, n: int, lin: LinParam | None, seen: dict) -> Status
     else:
         score, args = _torus_case, (n, lin.m, lin.r)
     status = Status.STABLE
-    for sup, a, b in _placements(key):
-        placement = (unipotent, sup, a, b)
-        got = seen.get(placement)
-        if got is None:
-            got = seen[placement] = score(sup, a, b, *args)
-        if got < status:
-            status = got
-            if got is Status.UNSTABLE:
-                break
+    for sup, pairs in _placement_blocks(key):
+        for a, b in pairs:
+            placement = (unipotent, sup, a, b)
+            got = seen.get(placement)
+            if got is None:
+                got = seen[placement] = score(sup, a, b, *args)
+            if got < status:
+                status = got
+                if got is Status.UNSTABLE:
+                    break
+        if status is Status.UNSTABLE:
+            break
     seen[key] = status
     return status
 
@@ -457,14 +480,16 @@ def _keys_agree(group_keys, unipotent_keys, engine: dict, n: int, lin: LinParam,
     m, r = lin.m, lin.r
     unip, full = GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP
     for sup, masses, marked in group_keys:
-        key = (full, 0 in sup, 1 in sup or 2 in sup, masses, marked)
+        v0, v12 = _SUPPORT_FLAGS[sup]
+        key = (full, v0, v12, masses, marked)
         worst = seen.get(key)
         if worst is None:
             worst = _class_worst(key, n, lin, seen)
         if worst != _group_case(sup, marked, masses[-1], n, m, r):
             return False
     for sup, masses, u in unipotent_keys:
-        key = (unip, 0 in sup, 1 in sup or 2 in sup, masses, None)
+        v0, v12 = _SUPPORT_FLAGS[sup]
+        key = (unip, v0, v12, masses, None)
         worst = seen.get(key)
         if worst is None:
             worst = _class_worst(key, n, None, seen)
@@ -488,7 +513,7 @@ def _point_rows(census, n: int, lin: LinParam, seen: dict, engine: dict) -> tupl
         top = masses[-1]  # d.max_mult()
         profile_unip = _point_unipotent(d)
         for sup, choices in _support_choices(d):
-            v0, v12 = 0 in sup, 1 in sup or 2 in sup
+            v0, v12 = _SUPPORT_FLAGS[sup]
             key = (unip, v0, v12, masses, None)
             unip_worst = seen.get(key)
             if unip_worst is None:

@@ -227,13 +227,18 @@ _SHOWN_CHARS = 100
 
 
 def _user_text(text: str, show=repr) -> str:
-    # show(text) while text has at most _SHOWN_CHARS characters and its repr
-    # at most two per character and the quotes, as any printable text has;
-    # else show(head) for the longest head of text of at most 20 characters
-    # whose repr is at most 42 long, and the length of text, as
+    # show(text) while text has at most _SHOWN_CHARS characters, its repr at
+    # most two per character and the quotes, as any printable text has, and
+    # show(text) at most as many bytes of UTF-8, as stderr writes it (a
+    # four-byte character counts four times); else show(head) for the
+    # longest head of text of at most 20 characters whose repr is at most
+    # 42 long, and the length of text, as
     # "'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"
-    if len(text) <= _SHOWN_CHARS and len(repr(text)) <= 2 * _SHOWN_CHARS + 2:
-        return show(text)
+    bound = 2 * _SHOWN_CHARS + 2
+    if len(text) <= _SHOWN_CHARS and len(repr(text)) <= bound:
+        shown = show(text)
+        if len(shown.encode("utf-8", "backslashreplace")) <= bound:
+            return shown
     head = text[:20]
     while len(repr(head)) > 42:
         head = head[:-1]

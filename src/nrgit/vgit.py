@@ -34,6 +34,10 @@ class WallKind(Enum):
     WALL_N = "WallN"
     CHAMBER = "Chamber"
 
+    # members are singletons, so they hash by identity: Enum's own __hash__
+    # is a Python call, and cmd_walls keys its profiles by kind
+    __hash__ = object.__hash__
+
 
 class WallChamber(_Record):
     """A wall (value: int) or an open chamber (value: (lo, hi), ints)."""

@@ -212,6 +212,25 @@ class TestWalls:
         vals = [w.get("value") for w in doc["result"]["walls"] if "value" in w]
         assert vals == ["0", "1", "3"]
 
+    def test_a_report_makes_no_python_level_enum_hash_call(self, capsys):
+        # walls keys its profiles by WallKind, whose members hash by identity
+        from enum import Enum
+
+        code = Enum.__hash__.__code__
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(frame.f_locals["self"])
+
+        sys.setprofile(profile)
+        try:
+            answer = run(capsys, "walls", "--n", "16")
+        finally:
+            sys.setprofile(None)
+        assert answer[0] == 0 and answer[1]
+        assert calls == []
+
 
 class TestWallsClosedForm:
     def test_degree_forty_answers(self, capsys):
@@ -927,13 +946,14 @@ def test_a_short_refusal_keeps_argparses_own_bytes(capsys, name, option):
 
 # values for every option: past int()'s digit limit and at it, malformed
 # text thousands of characters long, short text that repr writes long (a
-# control character in 4 characters, an astral non-printable one in 10), and
-# valid values far from the usual
+# control character in 4 characters, an astral non-printable one in 10) or
+# that UTF-8 writes long (a printable emoji in 4 bytes), and valid values
+# far from the usual
 _NINES = TestUsageErrors.NINES
 HOSTILE_VALUES = [
     "x" * 5000, "1" * 4301, _NINES, f"-{_NINES}", "1e5000", f"1/{_NINES}", "1_" * 2500 + "1",
     "٣" * 5000, " " * 5000, "1." + "5" * 4400, "0", "-3", "9" * 60, "1e100000000", "x",
-    "\x01" * 100, "\U000e0001" * 100, "--",
+    "\x01" * 100, "\U000e0001" * 100, "--", "\U0001F600" * 100,
 ]
 HOSTILE_PROFILES = [
     "inf=" + "x" * 5000, "zero=" + "x" * 5000, "roots=" + "1+" * 2500 + "1",

@@ -696,9 +696,10 @@ class TestPlacementTable:
             assert max(counter.values()) == 1, (name, counter.most_common(3))
 
     def test_scan_builds_only_what_it_scores(self, monkeypatch):
-        # a placement carries no marked root, and a scan draws slot pairs only
-        # until its class's first Unstable placement: 182 _marked_choices
-        # calls and 310 draws when every placement was built before its scan
+        # a placement carries no marked root, and a scan builds a block's slot
+        # pairs, as one list, only when it reaches the block: 182
+        # _marked_choices calls and 310 pairs when every placement was built
+        # before its scan, 125 when pairs were drawn one by one
         import nrgit.oracle as oracle
 
         calls = Counter()
@@ -710,15 +711,15 @@ class TestPlacementTable:
             monkeypatch.setattr(oracle, name, counted)
 
         def drawn(masses, real=oracle._slot_pairs):
-            for pair in real(masses):
-                calls["_slot_pairs"] += 1
-                yield pair
+            pairs = real(masses)
+            calls["_slot_pairs"] += len(pairs)
+            return pairs
 
         monkeypatch.setattr(oracle, "_slot_pairs", drawn)
         assert diff_report(4, LinParam(1, 2)).ok
         got = tuple(calls[name] for name in
                     ("_marked_choices", "_slot_pairs", "_torus_case", "_unipotent_case"))
-        assert got == (0, 125, 39, 44)
+        assert got == (0, 141, 39, 44)
 
     def test_full_envelope_scan_stops_before_its_slot_pairs(self, monkeypatch):
         # FullEnvelopeGroup's first placement sends the marked root to [1:0];
@@ -737,9 +738,9 @@ class TestPlacementTable:
         drawn = []
 
         def spy(masses, real=oracle._slot_pairs):
-            for pair in real(masses):
-                drawn.append(pair)
-                yield pair
+            pairs = real(masses)
+            drawn.extend(pairs)
+            return pairs
 
         monkeypatch.setattr(oracle, "_slot_pairs", spy)
         assert oracle._class_worst(key, 4, lin, {}) is Status.UNSTABLE
@@ -747,6 +748,59 @@ class TestPlacementTable:
         # the class has generic placements for the scan to skip
         list(oracle._placements(key))
         assert len(drawn) == 7
+
+    def test_slot_pairs_are_the_pairs_of_two_distinct_roots(self):
+        # the definition the one-pass list replaced: per mass a at [1:0],
+        # or none, the sorted masses left over, or none, at [0:1]
+        from nrgit.binary_forms import _all_profiles
+        from nrgit.oracle import _slot_pairs
+
+        def remove_one(masses, value):
+            out = list(masses)
+            if value:
+                out.remove(value)
+            return out
+
+        def reference(masses):
+            return [(a, b) for a in sorted({0, *masses})
+                    for b in sorted({0, *remove_one(masses, a)})]
+
+        for n in range(1, 13):
+            for masses in {tuple(sorted(d.all_mults())) for d in _all_profiles(n)}:
+                # a class key's masses, and FullEnvelopeGroup's others: the
+                # masses less its marked root
+                cases = [masses] + [remove_one(masses, x) for x in set(masses)]
+                for case in cases:
+                    assert _slot_pairs(case) == reference(case), case
+
+    def test_block_scan_is_the_worst_placement(self, monkeypatch):
+        # every class a census scans, scored alone, is the least status of
+        # its placements, each scored without a table
+        import nrgit.oracle as oracle
+        from nrgit.envelope import _torus_case, _unipotent_case
+
+        scanned = []
+        real = oracle._class_worst
+
+        def spy(key, n, lin, seen):
+            scanned.append((key, lin))
+            return real(key, n, lin, seen)
+
+        monkeypatch.setattr(oracle, "_class_worst", spy)
+        for n in range(1, 9):
+            for tau in tau_grid(n):
+                lin = lin_for(tau)
+                scanned.clear()
+                oracle._census(n, lin, n)
+                assert scanned
+                for key, key_lin in scanned:
+                    if key[0] is GroupKind.UNIPOTENT_ENVELOPE:
+                        want = min(_unipotent_case(sup, a, b, n)
+                                   for sup, a, b in oracle._placements(key))
+                    else:
+                        want = min(_torus_case(sup, a, b, n, lin.m, lin.r)
+                                   for sup, a, b in oracle._placements(key))
+                    assert real(key, n, key_lin, {}) is want, (key, lin)
 
     def test_class_key_is_all_the_envelope_placements_read(self):
         # a report scans one point per class key, so every point with that
@@ -789,13 +843,13 @@ class TestPlacementTable:
         import nrgit.oracle as oracle
 
         calls = Counter()
-        real = oracle._placements
+        real = oracle._placement_blocks
 
         def counted(key):
             calls[key] += 1
             return real(key)
 
-        monkeypatch.setattr(oracle, "_placements", counted)
+        monkeypatch.setattr(oracle, "_placement_blocks", counted)
         assert diff_report(4, LinParam(1, 2)).ok
         # 138 enumerations when a class was keyed by the whole v-support, 70
         # when Borel scanned each profile's embedded point unkeyed
