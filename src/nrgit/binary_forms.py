@@ -13,8 +13,8 @@ in cleared-denominator integer form so walls are hit exactly.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
+from operator import index
 
 from .hilbert_mumford import Status, _status
 from .polytope import _SHOWN_DIGITS, _Record, _fraction, _value_text
@@ -25,18 +25,18 @@ class Divisor(_Record):
 
     Generic entries are the multiplicities of pairwise-distinct roots away
     from both special points; their positions are anonymized and the tuple is
-    kept sorted descending so equal profiles compare equal.
+    kept sorted descending so equal profiles compare equal.  Every field is
+    read through operator.index: an int (or bool) is taken as an int, and a
+    float, str or Fraction is refused with TypeError, never truncated.
     """
 
     __slots__ = ("n", "mult_inf", "mult_zero", "generic")
 
     def __init__(self, n: int, mult_inf: int, mult_zero: int, generic=()):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mult_inf", mult_inf)
-        object.__setattr__(self, "mult_zero", mult_zero)
-        object.__setattr__(
-            self, "generic", tuple(sorted((int(g) for g in generic), reverse=True))
-        )
+        object.__setattr__(self, "n", index(n))
+        object.__setattr__(self, "mult_inf", index(mult_inf))
+        object.__setattr__(self, "mult_zero", index(mult_zero))
+        object.__setattr__(self, "generic", tuple(sorted(map(index, generic), reverse=True)))
         validate(self)
 
     def all_mults(self) -> tuple[int, ...]:
@@ -123,12 +123,11 @@ def classify_borel(d: Divisor, lin: LinParam) -> Status:
         return Status.UNSTABLE
     if r == 0:
         return _status(False, 2 * d.max_mult() <= n)
-    others = [d.mult_zero] + list(d.generic)
     lo = n * m - r  # 2*mult*m vs m*(n - tau) cleared of denominators
     hi = n * m + r
-    ss = 2 * d.mult_inf * m <= lo and all(2 * v * m <= hi for v in others)
-    st = 2 * d.mult_inf * m < lo and all(2 * v * m < hi for v in others)
-    return _status(st, ss)
+    # every root mass off [1:0] is below (or at) its bound iff the largest is
+    inf, other = 2 * d.mult_inf * m, 2 * max((d.mult_zero, *d.generic)) * m
+    return _status(inf < lo and other < hi, inf <= lo and other <= hi)
 
 
 def classify_sl2(d: Divisor) -> Status:
@@ -272,7 +271,7 @@ def _all_profiles(n: int) -> list[Divisor]:
     # valid by construction (parts come sorted descending): no Divisor check
     return [
         object.__new__(Divisor)._set(n, a, b, parts)
-        for a, b in itertools.product(range(n + 1), repeat=2)
-        if a + b <= n
+        for a in range(n + 1)
+        for b in range(n + 1 - a)
         for parts in partitions[n - a - b]
     ]

@@ -122,17 +122,19 @@ def _long_number(argv: list[str]) -> str | None:
     main asks only when a line fails, so a clean line pays nothing: every
     line holding such a number fails, in _scan for a flag read by int() or
     with choices, which leaves the line to argparse, and in its handler,
-    as a ValueError, for --tau, --N, --profile and --out.
+    as a ValueError, for --tau, --N and --profile.  The value of diagram's
+    --out (or of a prefix that argparse reads as --out) is a path, never
+    read as a number, so it is skipped: cmd_diagram's own refusal names it.
     """
+    out = "--out" if argv[:1] == ["diagram"] else ""
     for k, text in enumerate(argv):
-        too_long = _too_long(text)
-        if too_long is None:
-            continue
         if text.startswith("--") and "=" in text:
             flag = text.partition("=")[0]
         else:
             flag = argv[k - 1] if k and argv[k - 1].startswith("-") else "an argument"
-        return f"{flag} holds {too_long}"
+        too_long = None if len(flag) > 2 and out.startswith(flag) else _too_long(text)
+        if too_long is not None:
+            return f"{flag} holds {too_long}"
     return None
 
 

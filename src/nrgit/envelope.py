@@ -18,6 +18,8 @@ multiplicity which are checked at construction.
 
 from __future__ import annotations
 
+from operator import index
+
 from .binary_forms import (
     Divisor,
     LinParam,
@@ -50,6 +52,7 @@ class EnvParams(_Record):
     __slots__ = ("n", "lin")
 
     def __init__(self, n: int, lin: LinParam):
+        n = index(n)  # an int, never a truncated float
         _check_positive_degree(n)
         self._set(n, lin)
 
@@ -70,7 +73,7 @@ class EnvPoint(_Record):
     __slots__ = ("v_support", "divisor", "marked_mult")
 
     def __init__(self, v_support, divisor: Divisor, marked_mult=None):
-        sup = frozenset(int(j) for j in v_support)
+        sup = frozenset(map(index, v_support))
         if not sup or not sup <= {0, 1, 2}:
             raise ValueError(f"v_support must be a nonempty subset of {{0,1,2}}, got {set(v_support)}")
         object.__setattr__(self, "v_support", sup)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from enum import IntEnum
+from operator import index
 
 from .polytope import (
     AffineN,
@@ -98,7 +99,7 @@ class PointSupport(_Record):
     __slots__ = ("indices",)
 
     def __init__(self, indices):
-        idx = frozenset(int(i) for i in indices)
+        idx = frozenset(map(index, indices))
         if not idx:
             raise ValueError("PointSupport must be nonempty")
         object.__setattr__(self, "indices", idx)

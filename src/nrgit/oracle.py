@@ -42,13 +42,14 @@ objects, whose hashes are cached.  One function, _class_worst, scores a
 class, by envelope._unipotent_case for UnipotentEnvelope and
 envelope._torus_case at the linearisation otherwise, and takes the worst;
 worst_case_status and diff_report call it.  Within one diff_report a
-status table holds each distinct (scorer, v_support, mult_inf, mult_zero)
-status and each class's worst case: a caller probes the table for the
-class first, and _class_worst scores only a class not yet scored, each
-placement once.  It walks the class's blocks with two plain loops and
-stops at its first Unstable placement; a block's slot pairs are built, as
-one list, only when the scan reaches the block, so such a scan builds no
-block past it.
+status table, a _StatusTable, holds each distinct (scorer, v_support,
+mult_inf, mult_zero) status and each class's worst case.  Every reader
+looks a class up as table[key]: a scored class is a plain dict hit, and
+a class not yet scored is scored by _class_worst through the table's
+__missing__, each placement once.  _class_worst walks the class's blocks
+with two plain loops and stops at its first Unstable placement; a
+block's slot pairs are built, as one list, only when the scan reaches the
+block, so such a scan builds no block past it.
 
 diff_report checks each profile once and each completion-point check once
 per distinct input, in one walk over the census.  Per profile: the sorted
@@ -286,13 +287,14 @@ def _class_worst(key: tuple, n: int, lin: LinParam | None, seen: dict) -> Status
     ({} scores a single class).  It keys each placement's status by the
     flag naming the scorer, unipotent, and the placement's polytope class
     (v_support, mult_inf, mult_zero), and each class's worst case by its
-    key, which leads with its GroupKind.  Callers probe seen for key
-    first, so a scored class costs one dict probe; this scores only a key
-    not yet scored, and stores its status there.  The scan walks the key's
-    _placement_blocks, each block's slot pairs in one inner loop, and stops
-    at the first Unstable placement: nothing is worse, and neither scorer
-    raises, so the placements it skips change nothing, and a block it does
-    not reach is never built.
+    key, which leads with its GroupKind.  This scores key whether or not
+    seen holds it, and stores its status there; a report reads classes
+    through a _StatusTable, whose __missing__ calls this only for a key
+    not yet scored, so a scored class costs one subscript.  The scan walks
+    the key's _placement_blocks, each block's slot pairs in one inner
+    loop, and stops at the first Unstable placement: nothing is worse, and
+    neither scorer raises, so the placements it skips change nothing, and a
+    block it does not reach is never built.
     """
     unipotent = key[0] is GroupKind.UNIPOTENT_ENVELOPE
     if unipotent:
@@ -316,6 +318,22 @@ def _class_worst(key: tuple, n: int, lin: LinParam | None, seen: dict) -> Status
             break
     seen[key] = status
     return status
+
+
+class _StatusTable(dict):
+    """One report's status table for _class_worst, at degree n and
+    linearisation lin: table[key] is the worst status of class key, scored
+    on its first lookup.  The unipotent scorer reads no linearisation, so
+    one table serves every group."""
+
+    __slots__ = ("n", "lin")
+
+    def __init__(self, n: int, lin: LinParam, scored=()):
+        super().__init__(scored)
+        self.n, self.lin = n, lin
+
+    def __missing__(self, key: tuple) -> Status:
+        return _class_worst(key, self.n, self.lin, self)
 
 
 def worst_case_status(d: Divisor, lin: LinParam | None, group: GroupKind) -> Status:
@@ -410,7 +428,7 @@ def _profile_pass(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, list]:
     m, r = lin.m, lin.r
     borel, unip = GroupKind.BOREL, GroupKind.UNIPOTENT_ENVELOPE
     # placement classes scored so far, for this report's linearisation only
-    seen: dict = {}
+    seen = _StatusTable(n, lin)
     # polytope engine status per polytope class
     engine = _engine_table(n, m, r)[1]
     rows: list[DiffRow] = []
@@ -428,18 +446,9 @@ def _profile_pass(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, list]:
         # Borel's class key of the embedded point, built as _point_key builds
         # it; the unipotent and SL(2) checks' at v = [1:1:0] and, for the
         # SL(2) weights 2i - n over all slot placements, at v = [1:0:0]
-        key = (borel, a, tuple(sorted({0, d.mult_zero, *d.generic})))
-        borel_worst = seen.get(key)
-        if borel_worst is None:
-            borel_worst = _class_worst(key, n, lin, seen)
-        key = (unip, True, True, masses, None)
-        unip_worst = seen.get(key)
-        if unip_worst is None:
-            unip_worst = _class_worst(key, n, None, seen)
-        key = (unip, True, False, masses, None)
-        sl2_worst = seen.get(key)
-        if sl2_worst is None:
-            sl2_worst = _class_worst(key, n, None, seen)
+        borel_worst = seen[borel, a, tuple(sorted({0, d.mult_zero, *d.generic}))]
+        unip_worst = seen[unip, True, True, masses, None]
+        sl2_worst = seen[unip, True, False, masses, None]
         unip_closed, sl2_closed = classify_unipotent(d), classify_sl2(d)
         if borel_worst != intrinsic or unip_worst != unip_closed or sl2_worst != sl2_closed:
             _record(rows, d, (
@@ -473,7 +482,7 @@ def _check_keys(masses, pairs) -> tuple[Iterator, Iterator]:
     return group, unipotent
 
 
-def _keys_agree(group_keys, unipotent_keys, engine: dict, n: int, lin: LinParam, seen: dict) -> bool:
+def _keys_agree(group_keys, unipotent_keys, engine: dict, n: int, lin: LinParam, seen: _StatusTable) -> bool:
     # whether every completion-point check holds at every key of its key
     # set (_profile_pass's docstring), in that order, up to the first that
     # fails
@@ -481,19 +490,11 @@ def _keys_agree(group_keys, unipotent_keys, engine: dict, n: int, lin: LinParam,
     unip, full = GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP
     for sup, masses, marked in group_keys:
         v0, v12 = _SUPPORT_FLAGS[sup]
-        key = (full, v0, v12, masses, marked)
-        worst = seen.get(key)
-        if worst is None:
-            worst = _class_worst(key, n, lin, seen)
-        if worst != _group_case(sup, marked, masses[-1], n, m, r):
+        if seen[full, v0, v12, masses, marked] != _group_case(sup, marked, masses[-1], n, m, r):
             return False
     for sup, masses, u in unipotent_keys:
         v0, v12 = _SUPPORT_FLAGS[sup]
-        key = (unip, v0, v12, masses, None)
-        worst = seen.get(key)
-        if worst is None:
-            worst = _class_worst(key, n, None, seen)
-        if worst != _unipotent_worst(sup, u):
+        if seen[unip, v0, v12, masses, None] != _unipotent_worst(sup, u):
             return False
     return all(status == _torus_case_list(*key, n, m, r) for key, status in engine.items())
 
@@ -505,6 +506,8 @@ def _point_rows(census, n: int, lin: LinParam, seen: dict, engine: dict) -> tupl
     # outermost loop that fixes all of its arguments.
     m, r = lin.m, lin.r
     unip, full = GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP
+    # seen's scored entries, read through a table that scores the rest
+    seen = _StatusTable(n, lin, seen)
     rows: list[DiffRow] = []
     points = 0
     for d in census:
@@ -514,19 +517,13 @@ def _point_rows(census, n: int, lin: LinParam, seen: dict, engine: dict) -> tupl
         profile_unip = _point_unipotent(d)
         for sup, choices in _support_choices(d):
             v0, v12 = _SUPPORT_FLAGS[sup]
-            key = (unip, v0, v12, masses, None)
-            unip_worst = seen.get(key)
-            if unip_worst is None:
-                unip_worst = _class_worst(key, n, None, seen)
+            unip_worst = seen[unip, v0, v12, masses, None]
             unip_closed = _unipotent_worst(sup, profile_unip)
             engine_status = engine[sup, a, b]
             torus = _torus_case_list(sup, a, b, n, m, r)
             for marked in choices:
                 points += 1
-                key = (full, v0, v12, masses, marked)
-                group_worst = seen.get(key)
-                if group_worst is None:
-                    group_worst = _class_worst(key, n, lin, seen)
+                group_worst = seen[full, v0, v12, masses, marked]
                 group = _group_case(sup, marked, top, n, m, r)
                 if group_worst != group or unip_worst != unip_closed or engine_status != torus:
                     # the one EnvPoint built for a point: an emitted row's subject

@@ -32,8 +32,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable
 from enum import Enum
-
-_Fraction = None
+from functools import total_ordering
 
 
 def _fraction():
@@ -41,12 +40,9 @@ def _fraction():
     decimal and numbers, and most commands build no Fraction.  Annotations
     stay text under `from __future__ import annotations`, so they name
     Fraction without importing it."""
-    global _Fraction
-    if _Fraction is None:
-        from fractions import Fraction
+    from fractions import Fraction
 
-        _Fraction = Fraction
-    return _Fraction
+    return Fraction
 
 
 class DegreeOverflowError(ArithmeticError):
@@ -106,12 +102,14 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+@total_ordering
 class AffineN(_Record):
     """A value a*N + b, ordered by its sign for all sufficiently large N.
 
-    The order is lexicographic on (n_coeff, const).  Closed under addition,
-    subtraction and rational scaling; multiplying two values that both carry
-    an N-part raises DegreeOverflowError.
+    The order is lexicographic on (n_coeff, const); total_ordering derives
+    <=, > and >= from < and ==.  Closed under addition, subtraction and
+    rational scaling; multiplying two values that both carry an N-part
+    raises DegreeOverflowError.
     """
 
     __slots__ = ("n_coeff", "const")
@@ -159,15 +157,6 @@ class AffineN(_Record):
 
     def __lt__(self, other):
         return self._key() < AffineN.of(other)._key()
-
-    def __le__(self, other):
-        return self._key() <= AffineN.of(other)._key()
-
-    def __gt__(self, other):
-        return self._key() > AffineN.of(other)._key()
-
-    def __ge__(self, other):
-        return self._key() >= AffineN.of(other)._key()
 
     def __eq__(self, other):
         if not isinstance(other, (AffineN, int)) and not isinstance(other, _fraction()):

@@ -655,6 +655,31 @@ class TestUsageErrors:
         assert shown in err
         assert self.LONG not in err
 
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python reads any number of digits")
+    @pytest.mark.parametrize("out", [
+        ("--out", f"/nonexistent/{LONG}"),
+        (f"--out=/nonexistent/{LONG}",),
+        ("--o", f"/nonexistent/{LONG}"),
+        (f"--ou=/nonexistent/{LONG}",),
+    ], ids=["out", "out=", "o", "ou="])
+    def test_a_long_out_path_is_refused_by_its_write(self, capsys, out):
+        # --out's value is a path, never read as a number: its digits are
+        # not a long number, and the refusal is the failed write's
+        code, stdout, err = run(capsys, "diagram", "--n", "3", *out)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: cannot write --out /nonexistent/111"), err[:200]
+        assert "holds a number" not in err
+        assert self.LONG not in err
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python reads any number of digits")
+    def test_out_of_a_command_without_it_is_a_long_number(self, capsys):
+        # only diagram reads --out as a path: elsewhere the flag is unknown,
+        # and its long value is named by its first digits, not quoted whole
+        code, stdout, err = run(capsys, "census", "--n", "4", "--out", self.LONG)
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: --out holds a number of more than {self.DIGIT_LIMIT} "
+                       f"digits: about 1.11111e+{self.DIGIT_LIMIT}\n")
+
     def test_a_clean_line_pays_no_digit_check(self, capsys, monkeypatch):
         # only a failing line can hold a number past the limit, so only a
         # failing line is searched for one

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -936,3 +937,76 @@ class TestPlacementTable:
                     except ValueError:
                         assert kind is GroupKind.BOREL
             assert foreign(keys) == [], n
+
+
+class TestStatusTable:
+    # a report reads every class as table[key]: a scored key is a plain dict
+    # hit, and a missing one is scored by _class_worst through __missing__
+
+    LIN = LinParam(1, 2)
+    # one class key per group a report's table holds, all of degree 4
+    KEYS = {
+        GroupKind.BOREL: (GroupKind.BOREL, embed_divisor(Divisor(4, 1, 1, (2,)))),
+        GroupKind.FULL_ENVELOPE_GROUP: (GroupKind.FULL_ENVELOPE_GROUP,
+                                        EnvPoint({0, 1, 2}, Divisor(4, 1, 0, (2, 1)), 2)),
+        GroupKind.UNIPOTENT_ENVELOPE: (GroupKind.UNIPOTENT_ENVELOPE,
+                                       EnvPoint({1, 2}, Divisor(4, 0, 0, (2, 1, 1)), 0)),
+    }
+
+    @staticmethod
+    def calls_while(read):
+        # the Python-level function calls that read() makes
+        events = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is not read.__code__:
+                events.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            read()
+        finally:
+            sys.setprofile(None)
+        return events
+
+    def test_a_scored_key_is_read_without_a_python_call(self):
+        from nrgit.oracle import _point_key, _StatusTable
+
+        for kind, p in self.KEYS.values():
+            table = _StatusTable(4, self.LIN)
+            key = _point_key(kind, p)
+            # a miss enters __missing__, which the profiler sees
+            assert "__missing__" in self.calls_while(lambda: table[key])
+            assert self.calls_while(lambda: table[key]) == [], kind
+
+    @pytest.mark.parametrize("kind", list(KEYS), ids=lambda kind: kind.value)
+    def test_a_miss_scores_its_key_once_at_the_tables_degree_and_slope(self, monkeypatch, kind):
+        import nrgit.oracle as oracle
+
+        calls = []
+        real = oracle._class_worst
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_class_worst", spy)
+        table = oracle._StatusTable(4, self.LIN)
+        key = oracle._point_key(*self.KEYS[kind])
+        status = table[key]
+        assert len(calls) == 1
+        got_key, n, lin, seen = calls[0]
+        assert (got_key, n) == (key, 4)
+        assert lin is self.LIN and seen is table
+        # the score is stored: a second read calls nothing
+        assert table[key] is status and len(calls) == 1
+        assert status is real(key, 4, self.LIN, {})
+
+    def test_a_table_seeded_from_a_dict_keeps_its_scores(self):
+        from nrgit.oracle import _point_key, _StatusTable
+
+        key = _point_key(*self.KEYS[GroupKind.BOREL])
+        table = _StatusTable(4, self.LIN, {key: "seeded"})
+        # a seeded entry is read as it is, never scored again
+        assert table[key] == "seeded"
+        assert not hasattr(table, "__dict__")

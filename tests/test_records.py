@@ -142,3 +142,34 @@ def test_unequal_fields_compare_unequal():
     assert QuotientProfile(True, QuotientKind.EMPTY, None) != QuotientProfile(
         True, QuotientKind.EMPTY, None, "a note"
     )
+
+
+# each integer field of a public constructor, as (builder of a record from
+# the field's value, a value it accepts)
+INTEGER_FIELDS = {
+    "Divisor.n": (lambda x: Divisor(x, 1, 0, (2,)), 3),
+    "Divisor.mult_inf": (lambda x: Divisor(3, x, 0, (2,)), 1),
+    "Divisor.mult_zero": (lambda x: Divisor(3, 0, x, (2,)), 1),
+    "Divisor.generic": (lambda x: Divisor(3, 1, 0, [x]), 2),
+    "EnvParams.n": (lambda x: EnvParams(x, LinParam(1, 1)), 3),
+    "EnvPoint.v_support": (lambda x: EnvPoint([x, 1], Divisor(3, 1, 0, (2,)), 1), 0),
+    "PointSupport.indices": (lambda x: PointSupport([x]), 0),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_fields_refuse_what_is_not_an_integer(field):
+    # exactness: a float, a numeral or a Fraction is refused, never
+    # truncated (Divisor(3, 1, 0, [2.9]) once read its root as 2)
+    build, value = INTEGER_FIELDS[field]
+    for wrong in (value + 0.9, float(value), str(value), Fraction(value)):
+        with pytest.raises(TypeError):
+            build(wrong)
+    assert build(value) == build(value)
+
+
+def test_integer_fields_read_a_bool_as_an_int():
+    assert repr(Divisor(True, True, False)) == "Divisor(n=1, mult_inf=1, mult_zero=0, generic=())"
+    assert Divisor(2, 0, 0, [True, True]).generic == (1, 1)
+    assert type(EnvParams(True, LinParam(1, 1)).n) is int
+    assert PointSupport([False, True]).indices == {0, 1}
