@@ -6,155 +6,26 @@ unordered points on the projective line acted on by the Borel subgroup
 of SL(2): closed-form classification, a strong ample envelope inside
 P^2 x P^n with brute-force cross-checks, wall-and-chamber variation of
 the linearization, and flip data at interior walls.
+
+Each module names its public surface in its own __all__, next to the code
+that defines it; the package imports every module and re-exports those
+names, so `from nrgit import *` binds them and __version__.
 """
 
-from .polytope import (
-    AffineN,
-    DegreeOverflowError,
-    N,
-    OriginLocation,
-    Weight2,
-    WeightSet,
-    ZERO,
-    cmp,
-    contains_origin,
-    weight2,
-)
-from .hilbert_mumford import (
-    OnePS,
-    PointSupport,
-    Status,
-    TorusAction,
-    mu,
-    mu_sign,
-    torus_status,
-    weight_polytope,
-    witness_lambdas,
-    witness_status,
-)
-from .binary_forms import (
-    Divisor,
-    LimitDirection,
-    LinParam,
-    MoveStep,
-    ZERO_SLOT,
-    central_divisor,
-    classify_borel,
-    classify_sl2,
-    classify_unipotent,
-    move_root_to_zero,
-    sequiv_witness,
-    torus_limit,
-)
-from .envelope import (
-    EnvParams,
-    EnvPoint,
-    EnvelopeReport,
-    concrete_torus_case_status,
-    embed_divisor,
-    enumerate_env_points,
-    fixed_point_weights,
-    group_status,
-    n_threshold,
-    point_polytope,
-    strong_envelope_report,
-    torus_case_status,
-    unipotent_case_status,
-    unipotent_status,
-)
-from .vgit import (
-    FlipData,
-    QuotientKind,
-    QuotientProfile,
-    WallChamber,
-    WallKind,
-    chamber_profile,
-    flip_data,
-    slice_weights,
-    wall_values,
-    walls,
-)
-from .oracle import (
-    DiffReport,
-    DiffRow,
-    GroupKind,
-    GroupMoveSet,
-    census_size_formula,
-    diff_report,
-    enumerate_profiles,
-    moves_for,
-    partition_count,
-    worst_case_status,
-)
+from . import polytope, hilbert_mumford, binary_forms, envelope, vgit, oracle
+from .polytope import *  # noqa: F403
+from .hilbert_mumford import *  # noqa: F403
+from .binary_forms import *  # noqa: F403
+from .envelope import *  # noqa: F403
+from .vgit import *  # noqa: F403
+from .oracle import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineN",
-    "DegreeOverflowError",
-    "N",
-    "OriginLocation",
-    "Weight2",
-    "WeightSet",
-    "ZERO",
-    "cmp",
-    "contains_origin",
-    "weight2",
-    "OnePS",
-    "PointSupport",
-    "TorusAction",
-    "mu",
-    "mu_sign",
-    "torus_status",
-    "weight_polytope",
-    "witness_lambdas",
-    "witness_status",
-    "Divisor",
-    "LimitDirection",
-    "LinParam",
-    "MoveStep",
-    "Status",
-    "ZERO_SLOT",
-    "central_divisor",
-    "classify_borel",
-    "classify_sl2",
-    "classify_unipotent",
-    "move_root_to_zero",
-    "sequiv_witness",
-    "torus_limit",
-    "EnvParams",
-    "EnvPoint",
-    "EnvelopeReport",
-    "concrete_torus_case_status",
-    "embed_divisor",
-    "enumerate_env_points",
-    "fixed_point_weights",
-    "group_status",
-    "n_threshold",
-    "point_polytope",
-    "strong_envelope_report",
-    "torus_case_status",
-    "unipotent_case_status",
-    "unipotent_status",
-    "FlipData",
-    "QuotientKind",
-    "QuotientProfile",
-    "WallChamber",
-    "WallKind",
-    "chamber_profile",
-    "flip_data",
-    "slice_weights",
-    "wall_values",
-    "walls",
-    "DiffReport",
-    "DiffRow",
-    "GroupKind",
-    "GroupMoveSet",
-    "census_size_formula",
-    "diff_report",
-    "enumerate_profiles",
-    "moves_for",
-    "partition_count",
-    "worst_case_status",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += polytope.__all__
+__all__ += hilbert_mumford.__all__
+__all__ += binary_forms.__all__
+__all__ += envelope.__all__
+__all__ += vgit.__all__
+__all__ += oracle.__all__

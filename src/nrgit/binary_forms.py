@@ -19,6 +19,21 @@ from operator import index
 from .hilbert_mumford import Status, _status
 from .polytope import _SHOWN_DIGITS, _Record, _fraction, _value_text
 
+__all__ = [
+    "Divisor",
+    "LimitDirection",
+    "LinParam",
+    "MoveStep",
+    "ZERO_SLOT",
+    "central_divisor",
+    "classify_borel",
+    "classify_sl2",
+    "classify_unipotent",
+    "move_root_to_zero",
+    "sequiv_witness",
+    "torus_limit",
+]
+
 
 class Divisor(_Record):
     """n points on P^1 by multiplicity: mass at [1:0], at [0:1], and generic.
@@ -97,6 +112,7 @@ class LinParam(_Record):
     __slots__ = ("m", "r")
 
     def __init__(self, m: int, r: int):
+        m, r = index(m), index(r)  # ints, never a float slope decided inexactly
         if m <= 0:
             raise ValueError(f"m must be a positive integer, got {m}")
         self._set(m, r)

@@ -42,6 +42,23 @@ from .polytope import (
     contains_origin,  # not called here; perfbench's tracer test wraps this binding
 )
 
+__all__ = [
+    "EnvParams",
+    "EnvPoint",
+    "EnvelopeReport",
+    "concrete_torus_case_status",
+    "embed_divisor",
+    "enumerate_env_points",
+    "fixed_point_weights",
+    "group_status",
+    "n_threshold",
+    "point_polytope",
+    "strong_envelope_report",
+    "torus_case_status",
+    "unipotent_case_status",
+    "unipotent_status",
+]
+
 # T1 x T2 weights (e_x, e_y) of the three v-coordinates under the rank-2 torus
 _E = {0: (0, 0), 1: (1, -1), 2: (-1, -1)}
 

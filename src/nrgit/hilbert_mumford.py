@@ -43,6 +43,19 @@ from .polytope import (
     weight2,
 )
 
+__all__ = [
+    "OnePS",
+    "PointSupport",
+    "Status",
+    "TorusAction",
+    "mu",
+    "mu_sign",
+    "torus_status",
+    "weight_polytope",
+    "witness_lambdas",
+    "witness_status",
+]
+
 
 _LABELS = ("Unstable", "StrictlySemistable", "Stable")  # indexed by Status
 

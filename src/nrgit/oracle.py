@@ -109,6 +109,19 @@ from .envelope import _torus_case as _torus_case_list
 from .hilbert_mumford import Status
 from .polytope import _Record, _value_text
 
+__all__ = [
+    "DiffReport",
+    "DiffRow",
+    "GroupKind",
+    "GroupMoveSet",
+    "census_size_formula",
+    "diff_report",
+    "enumerate_profiles",
+    "moves_for",
+    "partition_count",
+    "worst_case_status",
+]
+
 DEFAULT_MAX_CENSUS_N = 12
 
 

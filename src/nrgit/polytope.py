@@ -34,6 +34,19 @@ from collections.abc import Iterable
 from enum import Enum
 from functools import total_ordering
 
+__all__ = [
+    "AffineN",
+    "DegreeOverflowError",
+    "N",
+    "OriginLocation",
+    "Weight2",
+    "WeightSet",
+    "ZERO",
+    "cmp",
+    "contains_origin",
+    "weight2",
+]
+
 
 def _fraction():
     """fractions.Fraction, imported on first use: the module pulls in re,

@@ -27,6 +27,19 @@ from .polytope import _Record, _fraction, _value_text
 # profile censuses vgit runs, and every traced run fails without it
 from .binary_forms import _all_profiles  # noqa: F401
 
+__all__ = [
+    "FlipData",
+    "QuotientKind",
+    "QuotientProfile",
+    "WallChamber",
+    "WallKind",
+    "chamber_profile",
+    "flip_data",
+    "slice_weights",
+    "wall_values",
+    "walls",
+]
+
 
 class WallKind(Enum):
     WALL_ZERO = "WallZero"

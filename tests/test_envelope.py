@@ -448,6 +448,12 @@ class TestConcreteThreshold:
         assert n_threshold(1, LinParam(1, 2**20)) == 2**21
         assert n_threshold(5, LinParam(3, 10**30)) == 1 << 100
 
+    def test_a_float_twist_is_refused(self):
+        # LinParam reads its fields as ints, so a float slope never reaches
+        # the threshold search (it once ended in an AttributeError there)
+        with pytest.raises(TypeError):
+            n_threshold(3, LinParam(1, 2.5))
+
     def test_concrete_status_matches_evaluated_weights(self):
         # the concrete path on integer rows against evaluating each weight
         # with eval_at and locating the origin in the evaluated WeightSet

@@ -153,6 +153,8 @@ INTEGER_FIELDS = {
     "Divisor.generic": (lambda x: Divisor(3, 1, 0, [x]), 2),
     "EnvParams.n": (lambda x: EnvParams(x, LinParam(1, 1)), 3),
     "EnvPoint.v_support": (lambda x: EnvPoint([x, 1], Divisor(3, 1, 0, (2,)), 1), 0),
+    "LinParam.m": (lambda x: LinParam(x, 1), 2),
+    "LinParam.r": (lambda x: LinParam(1, x), 2),
     "PointSupport.indices": (lambda x: PointSupport([x]), 0),
 }
 
@@ -172,4 +174,10 @@ def test_integer_fields_read_a_bool_as_an_int():
     assert repr(Divisor(True, True, False)) == "Divisor(n=1, mult_inf=1, mult_zero=0, generic=())"
     assert Divisor(2, 0, 0, [True, True]).generic == (1, 1)
     assert type(EnvParams(True, LinParam(1, 1)).n) is int
+    assert type(LinParam(True, False).m) is int
     assert PointSupport([False, True]).indices == {0, 1}
+
+
+def test_lin_param_prints_its_fields():
+    # the short form, apart from the repr pinned above; no command prints it
+    assert str(LinParam(2, -3)) == "(m=2, r=-3)"
