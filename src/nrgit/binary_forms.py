@@ -16,7 +16,7 @@ from __future__ import annotations
 from enum import Enum
 from operator import index
 
-from .hilbert_mumford import Status, _status
+from .hilbert_mumford import _UNSTABLE, Status, _status
 from .polytope import _SHOWN_DIGITS, _Record, _fraction, _value_text
 
 __all__ = [
@@ -136,7 +136,7 @@ def classify_borel(d: Divisor, lin: LinParam) -> Status:
     """
     n, m, r = d.n, lin.m, lin.r
     if r < 0 or r > n * m:
-        return Status.UNSTABLE
+        return _UNSTABLE
     if r == 0:
         return _status(False, 2 * d.max_mult() <= n)
     lo = n * m - r  # 2*mult*m vs m*(n - tau) cleared of denominators

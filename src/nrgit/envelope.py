@@ -28,7 +28,7 @@ from .binary_forms import (
     classify_borel,
     classify_unipotent,
 )
-from .hilbert_mumford import _LOCATION_TO_STATUS, Status, _status
+from .hilbert_mumford import _LOCATION_TO_STATUS, _UNSTABLE, Status, _status
 from .polytope import (
     AffineN,
     N,
@@ -36,7 +36,6 @@ from .polytope import (
     WeightSet,
     _Record,
     _certified_n,
-    _eventual_sign,
     _locate_points,
     _locate_sorted,
     contains_origin,  # not called here; perfbench's tracer test wraps this binding
@@ -261,7 +260,7 @@ def _torus_case(v_support, mult_inf: int, mult_zero: int, n: int, m: int, r: int
     # the placement oracles call this on raw placements
     if 0 not in v_support:
         # every weight sits at height r - N < 0
-        return Status.UNSTABLE
+        return _UNSTABLE
     a = m * (2 * mult_inf - n)
     b = m * (n - 2 * mult_zero)
     v1, v2 = 1 in v_support, 2 in v_support
@@ -269,7 +268,7 @@ def _torus_case(v_support, mult_inf: int, mult_zero: int, n: int, m: int, r: int
         # horizontal segment at height r
         return _status(False, r == 0 and a <= 0 <= b)
     if r < 0:
-        return Status.UNSTABLE
+        return _UNSTABLE
     if not v2:  # the v-support meets {1, 2} in {1}
         member = a <= -r <= b
         interior = r > 0 and a < -r < b
@@ -300,11 +299,11 @@ def group_status(p: EnvPoint, params: EnvParams) -> Status:
 def _group_case(v_support, marked, top: int, n: int, m: int, r: int) -> Status:
     # like _torus_case: group_status on raw fields, top the largest root mass
     if r < 0 or r > n * m or 0 not in v_support:
-        return Status.UNSTABLE
+        return _UNSTABLE
     if r == 0:
         return _status(False, 2 * top <= n)
     if 1 not in v_support and 2 not in v_support:
-        return Status.UNSTABLE
+        return _UNSTABLE
     lo, hi = n * m - r, n * m + r
     return _status(2 * marked * m < lo and 2 * top * m < hi,
                    2 * marked * m <= lo and 2 * top * m <= hi)
@@ -324,10 +323,13 @@ def unipotent_case_status(p: EnvPoint, n: int) -> Status:
 
 
 def _unipotent_case(v_support, mult_inf: int, mult_zero: int, n: int) -> Status:
-    # like _torus_case: the v-support and the two slot masses decide
+    # like _torus_case: the v-support and the two slot masses decide.  The
+    # end weights N*least + (2*mult_inf - n) and N*greatest + (n -
+    # 2*mult_zero) have, for all large N, the sign of their leading nonzero
+    # coefficient, and the status reads nothing of lo and hi but their signs
     least, greatest = _T1_RANGE[v_support]
-    lo = _eventual_sign(0, least, 2 * mult_inf - n)
-    hi = _eventual_sign(0, greatest, n - 2 * mult_zero)
+    lo = least or 2 * mult_inf - n
+    hi = greatest or n - 2 * mult_zero
     return _status(lo < 0 < hi, lo <= 0 <= hi)
 
 
@@ -344,7 +346,7 @@ def unipotent_status(p: EnvPoint, n: int) -> Status:
 
 def _unipotent_worst(v_support, unip: Status) -> Status:
     # unipotent_status on raw fields, unip being the divisor's classify_unipotent
-    return unip if 0 in v_support else Status.UNSTABLE
+    return unip if 0 in v_support else _UNSTABLE
 
 
 _V_SUPPORTS = tuple(map(frozenset, ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2})))

@@ -83,12 +83,20 @@ class Status(IntEnum):
         return self.label
 
 
+# the members as module constants, for the census's hot paths: the enum
+# metaclass defines __getattr__, which puts every attribute load on the
+# class on a slow path, so on CPython 3.11 a Status.X load takes about
+# 0.1 us against under 0.01 us for a global
+_UNSTABLE, _STRICTLY_SEMISTABLE, _STABLE = (
+    Status.UNSTABLE, Status.STRICTLY_SEMISTABLE, Status.STABLE)
+
+
 def _status(stable: bool, semistable: bool) -> Status:
     if stable:
-        return Status.STABLE
+        return _STABLE
     if semistable:
-        return Status.STRICTLY_SEMISTABLE
-    return Status.UNSTABLE
+        return _STRICTLY_SEMISTABLE
+    return _UNSTABLE
 
 
 class TorusAction(_Record):

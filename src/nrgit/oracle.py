@@ -39,11 +39,12 @@ at a generic [v1:v2], the point's own (0 under UnipotentEnvelope).  A
 placement of any key the census builds, or of any point of
 enumerate_env_points, carries one of the seven envelope._V_SUPPORTS
 objects, whose hashes are cached.  One function, _class_worst, scores a
-class, by envelope._unipotent_case for UnipotentEnvelope and
-envelope._torus_case at the linearisation otherwise, and takes the worst;
-worst_case_status and diff_report call it.  Within one diff_report a
-status table, a _StatusTable, holds each distinct (scorer, v_support,
-mult_inf, mult_zero) status and each class's worst case.  Every reader
+class: it calls envelope._unipotent_case for UnipotentEnvelope, and
+envelope._torus_case at the linearisation otherwise, directly on each
+placement, and takes the worst; worst_case_status and diff_report call
+it.  Within one diff_report a status table, a _StatusTable, holds each
+distinct (scorer, v_support, mult_inf, mult_zero) status and each class's
+worst case.  Every reader
 looks a class up as table[key]: a scored class is a plain dict hit, and
 a class not yet scored is scored by _class_worst through the table's
 __missing__, each placement once.  _class_worst walks the class's blocks
@@ -57,7 +58,8 @@ root masses and the Borel, unipotent and SL(2) checks, each scored from a
 class key built without any point; their rows are built only for a
 profile where some check disagrees.  The point checks run on key sets,
 built from the profiles' sorted masses without visiting a point
-(_check_keys): the group check once per (v_support, masses, marked), the
+(_check_keys, which builds each mass tuple's list of marked roots once):
+the group check once per (v_support, masses, marked), the
 unipotent check once per (v_support, masses, classify_unipotent status),
 and the torus case list against the polytope engine once per polytope
 class (one table per report, envelope._engine_table: every class read off
@@ -106,7 +108,7 @@ from .envelope import (
 # the completion-point checks' own bindings, apart from the profile check's and the scorer's
 from .binary_forms import classify_unipotent as _point_unipotent
 from .envelope import _torus_case as _torus_case_list
-from .hilbert_mumford import Status
+from .hilbert_mumford import _STABLE, _UNSTABLE, Status
 from .polytope import _Record, _value_text
 
 __all__ = [
@@ -164,6 +166,12 @@ class GroupKind(Enum):
     __hash__ = object.__hash__
 
 
+# the members as module constants, which this module reads (see
+# hilbert_mumford._STABLE)
+_TORUS_ONLY, _BOREL = GroupKind.TORUS_ONLY, GroupKind.BOREL
+_FULL, _UNIPOTENT = GroupKind.FULL_ENVELOPE_GROUP, GroupKind.UNIPOTENT_ENVELOPE
+
+
 class GroupMoveSet(_Record):
     __slots__ = ("group", "moves")
 
@@ -191,17 +199,17 @@ def _point_key(kind: GroupKind, p: EnvPoint) -> tuple:
     """p's class key under kind: its GroupKind, then everything _placements
     reads of p (module docstring), so equal keys reach equal placements."""
     d, sup = p.divisor, p.v_support
-    if kind is GroupKind.TORUS_ONLY:
+    if kind is _TORUS_ONLY:
         return (kind, sup, d.mult_inf, d.mult_zero)
-    if kind is GroupKind.BOREL:
+    if kind is _BOREL:
         if sup != _EMBEDDED_SUPPORT or p.marked_mult != d.mult_inf:
             raise ValueError(
                 f"Borel moves are defined for embedded configurations, got {p}"
             )
         return (kind, d.mult_inf, tuple(sorted({0, d.mult_zero, *d.generic})))
-    if kind is not GroupKind.UNIPOTENT_ENVELOPE and kind is not GroupKind.FULL_ENVELOPE_GROUP:
+    if kind is not _UNIPOTENT and kind is not _FULL:
         raise ValueError(f"unknown group kind {kind!r}")
-    marked = p.marked_mult if kind is GroupKind.FULL_ENVELOPE_GROUP else None
+    marked = p.marked_mult if kind is _FULL else None
     return (kind, 0 in sup, 1 in sup or 2 in sup, tuple(sorted(d.all_mults())), marked)
 
 
@@ -240,11 +248,11 @@ def _placement_blocks(key: tuple):
     point's own [0:1] mass, which the class always holds, and a move set
     without it has the same worst status.
     """
-    if key[0] is GroupKind.TORUS_ONLY:
+    if key[0] is _TORUS_ONLY:
         _, sup, a, b = key
         yield sup, [(a, b)]
         return
-    if key[0] is GroupKind.BOREL:
+    if key[0] is _BOREL:
         _, a, other_slot = key
         yield _EMBEDDED_SUPPORT, [(a, q) for q in other_slot]
         return
@@ -253,7 +261,7 @@ def _placement_blocks(key: tuple):
     if not v12:
         # (v1, v2) = (0, 0) is preserved by both groups; only slot placements vary
         yield base, _slot_pairs(masses)
-    elif kind is GroupKind.UNIPOTENT_ENVELOPE:
+    elif kind is _UNIPOTENT:
         pairs = _slot_pairs(masses)
         for case in (with1, with2, with12):
             yield case, pairs
@@ -280,7 +288,7 @@ def moves_for(kind: GroupKind, p: EnvPoint) -> GroupMoveSet:
     # the marked root of a move at a generic [v1:v2] is the point's own,
     # but 0 under UnipotentEnvelope, whose 1-D weights never read it;
     # any other v-support forces it
-    own = 0 if kind is GroupKind.UNIPOTENT_ENVELOPE else p.marked_mult
+    own = 0 if kind is _UNIPOTENT else p.marked_mult
     # a move keeps the point's roots: generic ones are all but the slot masses
     return GroupMoveSet(
         kind,
@@ -300,7 +308,10 @@ def _class_worst(key: tuple, n: int, lin: LinParam | None, seen: dict) -> Status
     ({} scores a single class).  It keys each placement's status by the
     flag naming the scorer, unipotent, and the placement's polytope class
     (v_support, mult_inf, mult_zero), and each class's worst case by its
-    key, which leads with its GroupKind.  This scores key whether or not
+    key, which leads with its GroupKind.  The group picks the scorer once
+    per class, and each placement not yet in seen is scored by a direct
+    call, _unipotent_case(sup, a, b, n) or _torus_case(sup, a, b, n, m, r),
+    with no argument tuple built for it.  This scores key whether or not
     seen holds it, and stores its status there; a report reads classes
     through a _StatusTable, whose __missing__ calls this only for a key
     not yet scored, so a scored class costs one subscript.  The scan walks
@@ -309,25 +320,26 @@ def _class_worst(key: tuple, n: int, lin: LinParam | None, seen: dict) -> Status
     neither scorer raises, so the placements it skips change nothing, and a
     block it does not reach is never built.
     """
-    unipotent = key[0] is GroupKind.UNIPOTENT_ENVELOPE
+    unipotent = key[0] is _UNIPOTENT
     if unipotent:
-        score, args = _unipotent_case, (n,)
+        m = r = None
     elif lin is None:
         raise ValueError(f"{key[0].value} placements require a linearisation")
     else:
-        score, args = _torus_case, (n, lin.m, lin.r)
-    status = Status.STABLE
+        m, r = lin.m, lin.r
+    status = _STABLE
     for sup, pairs in _placement_blocks(key):
         for a, b in pairs:
             placement = (unipotent, sup, a, b)
             got = seen.get(placement)
             if got is None:
-                got = seen[placement] = score(sup, a, b, *args)
+                got = seen[placement] = (_unipotent_case(sup, a, b, n) if unipotent
+                                         else _torus_case(sup, a, b, n, m, r))
             if got < status:
                 status = got
-                if got is Status.UNSTABLE:
+                if got is _UNSTABLE:
                     break
-        if status is Status.UNSTABLE:
+        if status is _UNSTABLE:
             break
     seen[key] = status
     return status
@@ -403,12 +415,12 @@ def _profile_pass(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, list]:
     report's.  Both sides are pure functions of their arguments, so a check
     that holds at a key holds at every point with that key, and the key
     sets below hold exactly the census's keys:
-      group      _class_worst((full, v0, v12, masses, marked)) reads the
+      group      _class_worst((_FULL, v0, v12, masses, marked)) reads the
                  v-support's flags v0 and v12, the sorted root masses and
                  the marked root; _group_case(sup, marked, top, n, m, r)
                  the v-support, the marked root and top = masses[-1].  Key
                  (sup, masses, marked).
-      unipotent  _class_worst((unip, v0, v12, masses, None)) and
+      unipotent  _class_worst((_UNIPOTENT, v0, v12, masses, None)) and
                  _unipotent_worst(sup, _point_unipotent(d)).  Key (sup,
                  masses, _point_unipotent(d)), per profile d, every sup.
       engine     engine[sup, a, b] and _torus_case_list(sup, a, b, n, m, r).
@@ -439,7 +451,6 @@ def _profile_pass(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, list]:
     """
     census = enumerate_profiles(n, max_n)
     m, r = lin.m, lin.r
-    borel, unip = GroupKind.BOREL, GroupKind.UNIPOTENT_ENVELOPE
     # placement classes scored so far, for this report's linearisation only
     seen = _StatusTable(n, lin)
     # polytope engine status per polytope class
@@ -459,9 +470,9 @@ def _profile_pass(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, list]:
         # Borel's class key of the embedded point, built as _point_key builds
         # it; the unipotent and SL(2) checks' at v = [1:1:0] and, for the
         # SL(2) weights 2i - n over all slot placements, at v = [1:0:0]
-        borel_worst = seen[borel, a, tuple(sorted({0, d.mult_zero, *d.generic}))]
-        unip_worst = seen[unip, True, True, masses, None]
-        sl2_worst = seen[unip, True, False, masses, None]
+        borel_worst = seen[_BOREL, a, tuple(sorted({0, d.mult_zero, *d.generic}))]
+        unip_worst = seen[_UNIPOTENT, True, True, masses, None]
+        sl2_worst = seen[_UNIPOTENT, True, False, masses, None]
         unip_closed, sl2_closed = classify_unipotent(d), classify_sl2(d)
         if borel_worst != intrinsic or unip_worst != unip_closed or sl2_worst != sl2_closed:
             _record(rows, d, (
@@ -485,12 +496,14 @@ def _profile_pass(n: int, lin: LinParam, max_n: int) -> tuple[DiffReport, list]:
 def _check_keys(masses, pairs) -> tuple[Iterator, Iterator]:
     # the group and unipotent check keys, as _profile_pass's docstring
     # derives them, from masses, the census's distinct sorted-mass tuples,
-    # and pairs, its distinct (masses, _point_unipotent(d)).  Each is
-    # generated on demand, not listed: what the pass keeps alive is what
-    # starts a garbage collection (a clean census --n 4 ran one, of about
-    # 80 microseconds, when it kept them)
-    group = ((sup, ms, marked) for ms in masses for sup in _V_SUPPORTS
-             for marked in (sorted({0, *ms}) if 1 in sup or 2 in sup else (None,)))
+    # and pairs, its distinct (masses, _point_unipotent(d)).  A mass
+    # tuple's marked roots, sorted({0, *ms}), are built once and serve its
+    # six v-supports that meet {1, 2}.  Each key set is generated on demand,
+    # not listed: what the pass keeps alive is what starts a garbage
+    # collection (a clean census --n 4 ran one, of about 80 microseconds,
+    # when it kept them)
+    group = ((sup, ms, marked) for ms, marks in ((ms, sorted({0, *ms})) for ms in masses)
+             for sup in _V_SUPPORTS for marked in (marks if 1 in sup or 2 in sup else (None,)))
     unipotent = ((sup, ms, u) for ms, u in pairs for sup in _V_SUPPORTS)
     return group, unipotent
 
@@ -500,16 +513,18 @@ def _keys_agree(group_keys, unipotent_keys, engine: dict, n: int, lin: LinParam,
     # set (_profile_pass's docstring), in that order, up to the first that
     # fails
     m, r = lin.m, lin.r
-    unip, full = GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP
     for sup, masses, marked in group_keys:
         v0, v12 = _SUPPORT_FLAGS[sup]
-        if seen[full, v0, v12, masses, marked] != _group_case(sup, marked, masses[-1], n, m, r):
+        if seen[_FULL, v0, v12, masses, marked] != _group_case(sup, marked, masses[-1], n, m, r):
             return False
     for sup, masses, u in unipotent_keys:
         v0, v12 = _SUPPORT_FLAGS[sup]
-        if seen[unip, v0, v12, masses, None] != _unipotent_worst(sup, u):
+        if seen[_UNIPOTENT, v0, v12, masses, None] != _unipotent_worst(sup, u):
             return False
-    return all(status == _torus_case_list(*key, n, m, r) for key, status in engine.items())
+    for (sup, a, b), status in engine.items():
+        if status != _torus_case_list(sup, a, b, n, m, r):
+            return False
+    return True
 
 
 def _point_rows(census, n: int, lin: LinParam, seen: dict, engine: dict) -> tuple[list, int]:
@@ -518,7 +533,6 @@ def _point_rows(census, n: int, lin: LinParam, seen: dict, engine: dict) -> tupl
     # of points; _profile_pass's row writer.  Each value is computed in the
     # outermost loop that fixes all of its arguments.
     m, r = lin.m, lin.r
-    unip, full = GroupKind.UNIPOTENT_ENVELOPE, GroupKind.FULL_ENVELOPE_GROUP
     # seen's scored entries, read through a table that scores the rest
     seen = _StatusTable(n, lin, seen)
     rows: list[DiffRow] = []
@@ -530,13 +544,13 @@ def _point_rows(census, n: int, lin: LinParam, seen: dict, engine: dict) -> tupl
         profile_unip = _point_unipotent(d)
         for sup, choices in _support_choices(d):
             v0, v12 = _SUPPORT_FLAGS[sup]
-            unip_worst = seen[unip, v0, v12, masses, None]
+            unip_worst = seen[_UNIPOTENT, v0, v12, masses, None]
             unip_closed = _unipotent_worst(sup, profile_unip)
             engine_status = engine[sup, a, b]
             torus = _torus_case_list(sup, a, b, n, m, r)
             for marked in choices:
                 points += 1
-                group_worst = seen[full, v0, v12, masses, marked]
+                group_worst = seen[_FULL, v0, v12, masses, marked]
                 group = _group_case(sup, marked, top, n, m, r)
                 if group_worst != group or unip_worst != unip_closed or engine_status != torus:
                     # the one EnvPoint built for a point: an emitted row's subject

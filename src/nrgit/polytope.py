@@ -315,6 +315,12 @@ class OriginLocation(Enum):
     __hash__ = object.__hash__
 
 
+# the members as module constants, for the hull body (see
+# hilbert_mumford._STABLE)
+_OUTSIDE, _BOUNDARY, _INTERIOR = (
+    OriginLocation.OUTSIDE, OriginLocation.BOUNDARY, OriginLocation.INTERIOR)
+
+
 def _dot(p: tuple, q: tuple) -> tuple:
     # (c2, c1, c0) of the dot product of two rows, c2*N^2 + c1*N + c0
     px1, px0, py1, py0 = p
@@ -397,20 +403,29 @@ def _locate(rows: list[tuple]) -> OriginLocation:
     return _locate_points(rows, _certified_n(rows))
 
 
-def _chain(points: Iterable[tuple]) -> list[tuple]:
-    # half of Andrew's monotone chain over distinct points in sorted order
-    # or its reverse: each point pops the last vertex while the two do not
-    # make a strict left turn
-    out = []
+def _chain(points: list[tuple]) -> list[tuple]:
+    # Andrew's monotone chain over sorted distinct points, both halves in one
+    # pass: each point pops the last vertex of the lower chain while the two
+    # do not make a strict left turn, and of the upper chain while they do
+    # not make a strict right turn
+    lower, upper = [], []
     for p in points:
         px, py = p
-        while len(out) >= 2:
-            (ox, oy), (ax, ay) = out[-2], out[-1]
+        while len(lower) > 1:
+            (ox, oy), (ax, ay) = lower[-2], lower[-1]
             if (ax - ox) * (py - oy) > (ay - oy) * (px - ox):
                 break
-            out.pop()
-        out.append(p)
-    return out
+            lower.pop()
+        lower.append(p)
+        while len(upper) > 1:
+            (ox, oy), (ax, ay) = upper[-2], upper[-1]
+            if (ax - ox) * (py - oy) < (ay - oy) * (px - ox):
+                break
+            upper.pop()
+        upper.append(p)
+    # the ccw hull: the lower chain, then the upper one read back, each
+    # without its last vertex, the other chain's first
+    return lower[:-1] + upper[:0:-1]
 
 
 def _locate_points(rows: list[tuple], n_value: int | Fraction) -> OriginLocation:
@@ -425,30 +440,24 @@ def _locate_sorted(pts: list[tuple]) -> OriginLocation:
     # distinct points; collinear points are dropped, so three or more hull
     # vertices form a strictly convex ccw polygon
     if len(pts) > 2:
-        # the lower chain, then the upper one read back from the last point;
-        # each drops its last vertex, the other chain's first
-        hull = _chain(pts)
-        hull.pop()
-        hull += _chain(reversed(pts))
-        hull.pop()
-        pts = hull
+        pts = _chain(pts)
     if len(pts) == 1:
-        return OriginLocation.BOUNDARY if pts[0] == (0, 0) else OriginLocation.OUTSIDE
+        return _BOUNDARY if pts[0] == (0, 0) else _OUTSIDE
     if len(pts) == 2:
         (ax, ay), (bx, by) = pts
         # on the segment: collinear with both ends, which point apart
         if ax * by == ay * bx and ax * bx + ay * by <= 0:
-            return OriginLocation.BOUNDARY
-        return OriginLocation.OUTSIDE
+            return _BOUNDARY
+        return _OUTSIDE
     # outside if the origin is strictly right of an edge, boundary if on an
     # edge's line, else interior
-    location = OriginLocation.INTERIOR
+    location = _INTERIOR
     ax, ay = pts[-1]
     for bx, by in pts:
         side = ax * by - ay * bx
         if side < 0:
-            return OriginLocation.OUTSIDE
+            return _OUTSIDE
         if side == 0:
-            location = OriginLocation.BOUNDARY
+            location = _BOUNDARY
         ax, ay = bx, by
     return location

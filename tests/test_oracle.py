@@ -31,6 +31,7 @@ from nrgit import (
     torus_case_status,
     unipotent_case_status,
     unipotent_status,
+    wall_values,
     worst_case_status,
 )
 
@@ -220,9 +221,14 @@ class TestWorstCaseStatus:
                     )
 
     def test_unipotent_oracle_matches_closed_form(self):
+        # _unipotent_case reads no linearisation: lin=None scores every
+        # profile as any linearisation does
+        unip = GroupKind.UNIPOTENT_ENVELOPE
         for n in range(1, 7):
             for d in enumerate_profiles(n):
-                assert worst_case_status(d, None, GroupKind.UNIPOTENT_ENVELOPE) is classify_unipotent(d)
+                assert worst_case_status(d, None, unip) is classify_unipotent(d)
+                for lin in (LinParam(1, 0), LinParam(2, 3), LinParam(7, -1)):
+                    assert worst_case_status(d, lin, unip) is classify_unipotent(d), (str(d), lin)
 
     def test_sl2_closed_form_against_placement_scan(self):
         # SL(2) baseline has no completion factor: scan placements directly;
@@ -237,8 +243,11 @@ class TestWorstCaseStatus:
                 assert _class_worst(key, n, None, seen) is classify_sl2(d)
 
     def test_lin_required_for_torus_scores(self):
-        with pytest.raises(ValueError, match="linearisation"):
-            worst_case_status(Divisor(3, 1, 0, (2,)), None, GroupKind.BOREL)
+        # the three groups scored by _torus_case refuse lin=None, and the
+        # refusal names the group
+        for kind in (GroupKind.TORUS_ONLY, GroupKind.BOREL, GroupKind.FULL_ENVELOPE_GROUP):
+            with pytest.raises(ValueError, match=f"^{kind.value} placements require a linearisation$"):
+                worst_case_status(Divisor(3, 1, 0, (2,)), None, kind)
 
 
 class TestCensusPath:
@@ -512,6 +521,17 @@ class TestKeyedPass:
             assert len(unipotent) == len(want_unipotent) and set(unipotent) == want_unipotent, n
             lin = LinParam(1, 1)
             assert diff_report(n, lin, n).checked == self.writer_report(n, lin).checked, n
+        # the audit: beside each report the row writer, which visits every
+        # point, writes no row, and the report's checked is one per profile
+        # and one per point, as the writer counts them; tau_grid up to
+        # degree 8, then, to bound the cost, the walls +- 1/7
+        for n in range(1, 13):
+            taus = tau_grid(n) if n <= 8 else [
+                w + e for w in wall_values(n) for e in (Fraction(-1, 7), Fraction(1, 7))]
+            for lin in map(lin_for, taus):
+                writer = self.writer_report(n, lin)
+                assert writer.rows == (), (n, lin)
+                assert repr(diff_report(n, lin, n)) == repr(writer), (n, lin)
 
     def test_keyed_pass_matches_the_row_writer_on_tau_grid(self):
         from nrgit.oracle import _profile_pass
