@@ -45,7 +45,7 @@ from .envelope import (
 )
 from .oracle import DEFAULT_MAX_CENSUS_N, _census
 from .polytope import _SHOWN_DIGITS, _affine_text, _fraction, _int_text, _user_text, _value_text
-from .vgit import WallKind, chamber_profile, flip_data, walls
+from .vgit import _CHAMBER, chamber_profile, flip_data, walls
 
 _DEGREE_CEILING = 100_000  # the largest n of weights, walls, flips and diagram
 # the largest |e| of a --tau or --N written with an exponent, as in 1.5e<e>:
@@ -326,14 +326,14 @@ def cmd_walls(args) -> int:
     # at a fixed n, chamber_profile depends on the segment's kind alone
     profiles = {}
     for seg in walls(args.n):
-        if seg.kind is WallKind.CHAMBER:
+        if seg.kind is _CHAMBER:
             lo, hi = seg.value
             key, shown = "interval", [str(lo), str(hi)]
         else:
             key, shown = "value", str(seg.value)
         if seg.kind not in profiles:
             tau = seg.value
-            if seg.kind is WallKind.CHAMBER:
+            if seg.kind is _CHAMBER:
                 # the int midpoint, or 1/2 in the chamber (0, 1) of an odd degree
                 tau = (lo + hi) // 2 if (lo + hi) % 2 == 0 else _fraction()(lo + hi, 2)
             profiles[seg.kind] = _profile_payload(chamber_profile(args.n, tau))

@@ -203,21 +203,17 @@ def _engine_table(n: int, m: int, r: int) -> tuple[int, dict]:
     class as _locate(_class_rows(key, n, m, r)) does: a class's rows are
     some of the fixed rows, so their largest |entry| M is at most the
     grid's, and B is at least the class's own certified N.  _locate's proof
-    bounds every real root of each sign the body reads below that N, and
-    every difference of entries below it, so the body takes the same steps
-    at every N from there on, B included.
+    bounds every real root of each sign the body reads below that N, so the
+    body takes the same steps at every N from there on, B included.
 
-    Each class's points reach the body sorted and distinct without a sort:
-    read family by family in the x-order [0:0:1], [1:0:0], [0:1:0] of
-    their e_x = -1, 0, +1, and within a family at the two ends ascending,
-    the second dropped when it repeats the first (mult_inf = n - mult_zero).
-    The point of row (e_x, c, e_y, r) has x = e_x*B + c with |c| <= mn <= M,
-    and B = 24*M^2 + 1 > 2M, so every [0:0:1] x is below -B + M < -M, every
-    [1:0:0] x lies in [-M, M] and every [0:1:0] x is above B - M > M: the
-    families are separated.  Within a family c = m(2i - n) strictly
-    increases with i, as m > 0, and mult_inf <= n - mult_zero.  So the x
-    strictly increase along the list, which is thus the sorted list of the
-    distinct points.
+    Each class's points are read in x-order and distinct, though the body
+    needs neither: family by family in the x-order [0:0:1], [1:0:0],
+    [0:1:0] of their e_x = -1, 0, +1, and within a family at the two ends
+    ascending, the second dropped when it repeats the first
+    (mult_inf = n - mult_zero), which spares the body a point.  The point of
+    row (e_x, c, e_y, r) has x = e_x*B + c with |c| <= mn <= M, and
+    B = 24*M^2 + 1 > 2M, so the families are separated, and within a family
+    c = m(2i - n) strictly increases with i, as m > 0.
     """
     rows = _fixed_rows(n, m, r)
     b = _certified_n([row for _, _, row in rows])

@@ -16,10 +16,10 @@ A weight is read as its row (a_x, b_x, a_y, b_y) of coefficients (_row), and
 _dot is the one large-N dot product of two rows.  contains_origin scales its
 rows once by the LCM of their denominators (a positive dilation leaves the
 origin's location unchanged) and hands the plain integers to _locate.
-_locate_sorted, the one hull body, builds the monotone-chain hull of sorted
-distinct points and reads the verdict off the signs of its edges in one
-pass.  _locate_points reads rows at a given N and hands their points to it:
-_locate gives it the certified N = B, the concrete path
+_locate_sorted, the one hull body, reads the verdict off where the hull
+meets the x-axis, in one pass over the points and one over the pairs that
+straddle the axis.  _locate_points reads rows at a given N and hands their
+points to it: _locate gives it the certified N = B, the concrete path
 (envelope.concrete_torus_case_status) the N being studied.  The census engine check
 (envelope._engine_table) reads every fixed row once, at the certified N of
 all of them, and hands each polytope class's points off that grid to the
@@ -362,9 +362,11 @@ def contains_origin(S: WeightSet) -> OriginLocation:
     reaches the body with a class's rows and a concrete N; the census
     engine check (envelope._engine_table) with each polytope class's
     points, read off one grid of all the fixed rows at an N no smaller than
-    the class's own certified N.  The body builds the ccw hull of the points once, and one
-    pass over its edges decides: outside if the origin is strictly right of
-    an edge, boundary if on an edge's line, else interior.
+    the class's own certified N.  The body reads the span in which the hull
+    meets the x-axis, from the on-axis points and the crossings of the
+    segments that straddle the axis: interior if the origin is strictly
+    inside the span and points lie on both sides of the axis, boundary if
+    it is in the span otherwise, else outside.
     """
     if not S.points:
         raise ValueError("contains_origin: empty weight set")
@@ -383,81 +385,67 @@ def _locate(rows: list[tuple]) -> OriginLocation:
 
     Why B decides as every larger N does: at N = B the rows become the
     points (a_x*B + b_x, a_y*B + b_y), and the hull body reads nothing of
-    them but their order, their equality with each other and with the
-    origin, and signs of cross products (p - o) x (q - o) and of one dot
-    product p . q, among the points and the origin.
-    - Order and equality.  Two rows differ in x by d1*N + d0 with integers
-      |d0| <= 2M < B, so d1*B + d0 has the sign of d1 when d1 != 0, else of
-      d0, and likewise in y.  The points at B are distinct exactly when the
-      rows are, sort in the rows' large-N order (the lexicographic order of
-      the rows), and a point is the origin exactly when its row is zero.
-    - Signs.  For rows, each such cross or dot product is an integer
-      c2*N^2 + c1*N + c0.  The differences of rows have entries of at most
-      2M, so |c2|, |c0| <= 8M^2 and |c1| <= 16M^2.  When c2 != 0, so
-      |c2| >= 1, Cauchy's bound puts every real root below 1 + 16M^2 <= B;
-      when c2 = 0 != c1, the root is -c0/c1, of size at most 8M^2 < B; a
-      constant has none.  So the sign at B is the sign at every N >= B: the
-      eventual sign that _eventual_sign reads off (c2, c1, c0).
+    them but signs, of two kinds.
+    - A coordinate a*N + b, with integers |b| <= M < B: at B it has the sign
+      of a when a != 0, else of b, as at every larger N.
+    - A cross product p x q = q_x*p_y - p_x*q_y of two points.  For rows it
+      is an integer c2*N^2 + c1*N + c0 with |c2|, |c0| <= 2M^2 and
+      |c1| <= 4M^2.  When c2 != 0, so |c2| >= 1, Cauchy's bound puts every
+      real root below 1 + 4M^2 <= B; when c2 = 0 != c1, the root is
+      -c0/c1, of size at most 2M^2 < B; a constant has none.  So the sign
+      at B is the sign at every N >= B: the eventual sign that
+      _eventual_sign reads off (c2, c1, c0).
     The body therefore takes the same steps at N = B as at any larger N.
+    B is more than these two kinds need.  It also lies past every real root
+    of a cross product of two differences of points and of a dot product of
+    two points (coefficients of at most 8M^2, 16M^2 and 8M^2, so roots below
+    1 + 16M^2), which the independent oracle of the tests reads.
     """
     return _locate_points(rows, _certified_n(rows))
 
 
-def _chain(points: list[tuple]) -> list[tuple]:
-    # Andrew's monotone chain over sorted distinct points, both halves in one
-    # pass: each point pops the last vertex of the lower chain while the two
-    # do not make a strict left turn, and of the upper chain while they do
-    # not make a strict right turn
-    lower, upper = [], []
-    for p in points:
-        px, py = p
-        while len(lower) > 1:
-            (ox, oy), (ax, ay) = lower[-2], lower[-1]
-            if (ax - ox) * (py - oy) > (ay - oy) * (px - ox):
-                break
-            lower.pop()
-        lower.append(p)
-        while len(upper) > 1:
-            (ox, oy), (ax, ay) = upper[-2], upper[-1]
-            if (ax - ox) * (py - oy) < (ay - oy) * (px - ox):
-                break
-            upper.pop()
-        upper.append(p)
-    # the ccw hull: the lower chain, then the upper one read back, each
-    # without its last vertex, the other chain's first
-    return lower[:-1] + upper[:0:-1]
-
-
 def _locate_points(rows: list[tuple], n_value: int | Fraction) -> OriginLocation:
     # nonempty rows read at N = n_value > 0 (Fractions when n_value is one),
-    # as the sorted distinct points the hull body takes
-    pts = sorted({(ax * n_value + bx, ay * n_value + by) for ax, bx, ay, by in rows})
-    return _locate_sorted(pts)
+    # as the points the hull body takes
+    return _locate_sorted([(ax * n_value + bx, ay * n_value + by) for ax, bx, ay, by in rows])
 
 
 def _locate_sorted(pts: list[tuple]) -> OriginLocation:
-    # the one hull body: the origin against the hull of nonempty, sorted,
-    # distinct points; collinear points are dropped, so three or more hull
-    # vertices form a strictly convex ccw polygon
-    if len(pts) > 2:
-        pts = _chain(pts)
-    if len(pts) == 1:
-        return _BOUNDARY if pts[0] == (0, 0) else _OUTSIDE
-    if len(pts) == 2:
-        (ax, ay), (bx, by) = pts
-        # on the segment: collinear with both ends, which point apart
-        if ax * by == ay * bx and ax * bx + ay * by <= 0:
-            return _BOUNDARY
-        return _OUTSIDE
-    # outside if the origin is strictly right of an edge, boundary if on an
-    # edge's line, else interior
-    location = _INTERIOR
-    ax, ay = pts[-1]
-    for bx, by in pts:
-        side = ax * by - ay * bx
-        if side < 0:
-            return _OUTSIDE
-        if side == 0:
-            location = _BOUNDARY
-        ax, ay = bx, by
-    return location
+    # the one hull body: the origin against the hull of nonempty points, in
+    # any order, repeats allowed.  The hull meets the x-axis in the interval
+    # spanned by the x of each point on the axis and the crossing of each
+    # segment from a point above the axis to one below it; the crossing of
+    # a -> b is at (bx*ay - ax*by) / (ay - by), whose denominator is positive
+    above, below = [], []
+    neg = pos = zero = False  # the signs of those x's and crossings
+    for p in pts:
+        x, y = p
+        if y > 0:
+            above.append(p)
+        elif y < 0:
+            below.append(p)
+        elif x < 0:
+            neg = True
+        elif x > 0:
+            pos = True
+        else:
+            zero = True
+    if not (above and below):
+        # the hull lies on one side of the axis and meets it only in the
+        # on-axis points' span: never interior
+        return _BOUNDARY if zero or (neg and pos) else _OUTSIDE
+    for ax, ay in above:
+        for bx, by in below:
+            side = bx * ay - ax * by
+            if side < 0:
+                neg = True
+            elif side > 0:
+                pos = True
+            else:
+                zero = True
+    # with points on both sides, the axis meets the hull's interior if the
+    # hull has one, so the origin is interior exactly when it lies strictly
+    # inside the span (which a hull without interior reduces to one point)
+    if neg and pos:
+        return _INTERIOR
+    return _BOUNDARY if zero else _OUTSIDE

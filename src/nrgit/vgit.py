@@ -52,6 +52,12 @@ class WallKind(Enum):
     __hash__ = object.__hash__
 
 
+# the members as module constants, which walls() and cli.cmd_walls read
+# (see hilbert_mumford._STABLE)
+_WALL_ZERO, _INTERIOR_WALL, _WALL_N, _CHAMBER = (
+    WallKind.WALL_ZERO, WallKind.INTERIOR_WALL, WallKind.WALL_N, WallKind.CHAMBER)
+
+
 class WallChamber(_Record):
     """A wall (value: int) or an open chamber (value: (lo, hi), ints)."""
 
@@ -104,14 +110,14 @@ def walls(n: int) -> list[WallChamber]:
     out: list[WallChamber] = []
     for i, v in enumerate(vals):
         if v == 0:
-            kind = WallKind.WALL_ZERO
+            kind = _WALL_ZERO
         elif v == n:
-            kind = WallKind.WALL_N
+            kind = _WALL_N
         else:
-            kind = WallKind.INTERIOR_WALL
+            kind = _INTERIOR_WALL
         out.append(WallChamber(kind, v))
         if i + 1 < len(vals):
-            out.append(WallChamber(WallKind.CHAMBER, (v, vals[i + 1])))
+            out.append(WallChamber(_CHAMBER, (v, vals[i + 1])))
     return out
 
 

@@ -5,22 +5,26 @@ it evaluates every coordinate at one concrete large value N_STAR and answers
 membership by exhaustive segment/triangle tests with Cramer determinants
 (Caratheodory), and interiority by walking the edges of a freshly computed
 hull polygon.  The package's hull kernel (polytope._locate) also decides at
-one value of N, but at its own N = B, certified per row set, and with
-Andrew's monotone chain and one pass over the hull's edges.  The two differ
-in the point at which they evaluate and in their algorithm, so an agreement
-between the two is meaningful evidence.
+one value of N, but at its own N = B, certified per row set, and from where
+the hull meets the x-axis: the on-axis points and the crossings of the
+segments that straddle it.  The two differ in the point at which they
+evaluate and in their algorithm, so an agreement between the two is
+meaningful evidence.  N_STAR and the origin are ints, so an integer weight
+set is decided in int arithmetic; a Fraction coordinate makes its points
+Fractions.
 
 Soundness of the concrete evaluation: every sign the oracle consults is a
 cross product of differences of points or a dot product of two points, so
 for integer rows (a_x, b_x, a_y, b_y) with entries of at most M it is an
-integer polynomial in N of the kind the kernel's certificate bounds: all
-its real roots lie below B = polytope._certified_n(rows) = 24*M^2 + 1, and
-any N > B > 2M keeps the points' order and distinctness (the proof is in
-_locate's docstring).  So the oracle's signs at N_STAR are the eventual
-signs for large N, which is what the package computes, whenever
-B < N_STAR.  assert_n_star_past_certified_n asserts that for every polytope
-class row set the oracles evaluate: degree at most 8, every tau_grid slope.
-The random sets of the property tests are not covered by it.
+integer polynomial in N whose real roots all lie below
+B = polytope._certified_n(rows) = 24*M^2 + 1 (_locate's docstring bounds
+its coefficients), and the points' order and distinctness are those of
+the rows for any N > 2M, as two rows differ in a coordinate by d1*N + d0
+with |d0| <= 2M.  So the oracle's signs at N_STAR are the eventual signs
+for large N, which is what the package computes, whenever B < N_STAR.
+assert_n_star_past_certified_n asserts that for every polytope class row
+set the oracles evaluate: degree at most 8, every tau_grid slope.  The
+random sets of the property tests are not covered by it.
 """
 
 import itertools
@@ -45,13 +49,14 @@ from nrgit import (
 from nrgit.envelope import _class_rows, _polytope_class
 from nrgit.polytope import _certified_n
 
-N_STAR = Fraction(10**7)
+N_STAR = 10**7
 
-ORIGIN = (Fraction(0), Fraction(0))
+ORIGIN = (0, 0)
 
 
 def concrete_points(weight_set, n_value=N_STAR):
-    """Distinct (Fraction, Fraction) pairs of a WeightSet at a concrete N."""
+    """Distinct (x, y) pairs of a WeightSet at a concrete N, sorted: ints
+    when the weights and N are, else Fractions."""
     return sorted({(w.x.eval_at(n_value), w.y.eval_at(n_value)) for w in weight_set})
 
 

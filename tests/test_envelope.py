@@ -42,7 +42,8 @@ from nrgit.hilbert_mumford import _LOCATION_TO_STATUS
 from nrgit.polytope import _certified_n, _integer_weights, _locate, _locate_points
 
 from helpers import (
-    hull_polygon, lin_for, n_threshold_by_points, N_STAR, scaled_minkowski, tau_grid,
+    hull_polygon, lin_for, n_threshold_by_points, N_STAR, oracle_status, scaled_minkowski,
+    tau_grid,
 )
 
 E_BY_LABEL = {"[1:0:0]": (0, 0), "[0:1:0]": (1, -1), "[0:0:1]": (-1, -1)}
@@ -216,6 +217,21 @@ class TestPointPolytope:
                 rows = _class_rows(key, n, m, r)
                 assert status == _LOCATION_TO_STATUS[_locate(rows)], (n, m, r, key)
                 assert b >= _certified_n(rows), (n, m, r, key)
+
+    def test_engine_table_agrees_with_the_oracle(self):
+        # _locate runs the engine's own hull body, so the test above cannot
+        # see a wrong body; the oracle of helpers.py decides each class's
+        # rows at N_STAR by its own algorithm, once per distinct row set
+        seen = {}
+        for n, m, r in engine_table_slopes():
+            if n > 8:
+                continue
+            for key, status in _engine_table(n, m, r)[1].items():
+                rows = tuple(_class_rows(key, n, m, r))
+                if rows not in seen:
+                    seen[rows] = oracle_status(WeightSet(
+                        (AffineN(ax, bx), AffineN(ay, by)) for ax, bx, ay, by in rows))
+                assert status is seen[rows], (n, m, r, key)
 
     def test_engine_table_hands_the_hull_sorted_distinct_points(self, monkeypatch):
         # _engine_table builds each class's points in x-order without a sort;

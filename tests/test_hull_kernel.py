@@ -1,8 +1,9 @@
 """The integer origin-in-hull kernel against hand-built cases and the oracle.
 
-contains_origin scales its weights to integers and decides with one pass over
-the edges of a monotone-chain hull; point_polytope emits only the endpoints
-of each monomial interval.  These tests pin the degenerate hulls, check the
+contains_origin scales its weights to integers and decides from where the
+hull meets the x-axis: the on-axis points and the crossings of the segments
+that straddle it; point_polytope emits only the endpoints of each monomial
+interval.  These tests pin the degenerate hulls, check the
 kernel against the independent oracle in helpers.py, and check that the
 endpoint-only polytopes locate the origin exactly as the full monomial
 intervals do.
@@ -70,6 +71,28 @@ HAND_BUILT = [
     # nearly opposite N-parts: the constants put the origin left of the long
     # edge, outside the thin triangle
     ([(AffineN(4, 0), AffineN(-7, 3)), (AffineN(-4, 1), AffineN(7, -3)), (0, AffineN(0, 1))], OUT),
+    # the hull body's branches, read off where the hull meets the x-axis:
+    # an on-axis point and a crossing on opposite sides of the origin, and
+    # a crossing at it
+    ([(1, 0), (-1, 1), (-1, -1)], INT),
+    ([(-1, 0), (1, 1), (1, -1)], INT),
+    ([(1, 0), (0, 1), (0, -1)], BND),
+    ([(AffineN(1, 0), 0), (AffineN(-1, 3), N), (AffineN(-1, -3), -N)], INT),
+    # every point on the axis, straddling the origin and to one side of it
+    ([(-2, 0), (3, 0), (5, 0)], BND),
+    ([(-3, 0), (-1, 0)], OUT),
+    # collinear sets crossing the axis at the origin and away from it
+    ([(-1, -2), (1, 2), (2, 4)], BND),
+    ([(0, -1), (1, 0), (2, 1)], OUT),
+    ([(1, -1), (3, 1)], OUT),
+    # the origin among the points: inside the others' hull, and a vertex
+    ([(0, 0), (1, 1), (-1, 1), (0, -1)], INT),
+    ([(0, 0), (1, 1), (2, -1)], BND),
+    # crossings all to one side, with an on-axis point on that side
+    ([(2, 0), (1, 1), (3, -2)], OUT),
+    # a reversed and a repeated list of the first of these cases
+    ([(-1, -1), (-1, 1), (1, 0)], INT),
+    ([(1, 0), (-1, 1), (1, 0), (-1, -1), (-1, 1)], INT),
 ]
 
 
@@ -78,6 +101,9 @@ def test_hand_built_cases(raw, want):
     s = WeightSet(raw)
     assert contains_origin(s) is want
     assert oracle_location(s) == want.value
+    # the hull body takes its points in any order, repeats allowed
+    assert contains_origin(WeightSet(raw[::-1])) is want
+    assert contains_origin(WeightSet(raw[1:] + raw)) is want
 
 
 def test_large_n_coefficient_decides_over_constants():
