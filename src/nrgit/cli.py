@@ -505,7 +505,7 @@ _FORMAT = ("--format", None, ("text", "json"), "text", None)
 _COMMANDS = (
     ("classify", "classify one configuration", cmd_classify, (
         _N_ANY, *_LIN, _FORMAT,
-        ("--profile", None, None, "", "configuration as inf=<k>,zero=<k>,roots=<k1+k2+...>"))),
+        ("--profile", None, None, _REQUIRED, "configuration as inf=<k>,zero=<k>,roots=<k1+k2+...>"))),
     ("weights", "fixed-point weight table", cmd_weights, (_N, *_LIN, _FORMAT)),
     ("walls", "wall and chamber report", cmd_walls, (_N, _FORMAT)),
     ("flips", "flip data at an interior wall", cmd_flips, (
@@ -513,7 +513,7 @@ _COMMANDS = (
     # the census pass applies the census guard
     ("census", "verify closed forms against brute force", cmd_census, (_N_ANY, *_LIN, _FORMAT)),
     ("diagram", "SVG weight diagram", cmd_diagram, (
-        _N, *_LIN, _FORMAT,
+        _N, *_LIN,
         ("--N", None, None, "10", "display value for N (rendering only)"),
         ("--out", None, None, None, "output path (default stdout)"))),
 )

@@ -234,8 +234,10 @@ class TestPointPolytope:
                 assert status is seen[rows], (n, m, r, key)
 
     def test_engine_table_hands_the_hull_sorted_distinct_points(self, monkeypatch):
-        # _engine_table builds each class's points in x-order without a sort;
-        # the hull body's precondition is that they are sorted and distinct
+        # _engine_table builds each class's points in x-order without a sort.
+        # Tests read that order: test_engine_rows_cover_every_point_of_a_class
+        # picks its class by its sorted distinct points, and TestKeyedPass's
+        # hull mutant counts 4 distinct points
         import nrgit.envelope as envelope
 
         real = envelope._locate_sorted
